@@ -11,7 +11,9 @@ shift part sends (L_m, L_n) to sum_k mu_k M_{m+n+k} and kills any argument
 from the Y or M families.  The same truncation discipline as the operator
 module applies: identity (1) re-brackets values against the first two
 arguments, identity (2) against the last two, so those are the coordinate
-anchors for row emission and defect projection.
+anchors for row emission and defect projection.  As for derivations, the
+constraint rows are computed from the window's integer-position bracket
+table (``windows.BracketTable``), one lookup and integer column per term.
 """
 from __future__ import annotations
 
@@ -36,16 +38,17 @@ from .linalg import (
     kernel_basis,
     span_basis,
     vec_add_scaled,
+    vec_bump,
 )
 from .operators import (
     DecompositionError,
     LinearOperator,
-    _bump,
     builtin_derivation,
     decompose_derivation,
     project_columns,
 )
-from .windows import DefectReport, Window
+from .parsing import DomainError
+from .windows import OUTSIDE, BracketTable, DefectReport, Window
 
 Pair = Tuple[GeneratorId, GeneratorId]
 
@@ -156,7 +159,7 @@ def bilinear_map_on_window(
             tensor[(g1, g2)] = ZERO
     for pair, v in mapping.items():
         if pair not in tensor:
-            raise ValueError(f"pair ({pair[0]}, {pair[1]}) outside the window")
+            raise DomainError(f"pair ({pair[0]}, {pair[1]}) outside the window")
         tensor[pair] = v
     return BilinearMap(tensor, label)
 
@@ -389,46 +392,47 @@ def representable_shifts(w: Window) -> List[int]:
 
 def identity1_rows(coords: PairCoords, cfg: AlgebraConfig):
     """Faithful rows of identity (1), anchored at the bracketed pair."""
-    w = coords.window
-    n = w.radius
-    gens = coords.gens
-    for i, g1 in enumerate(gens):
-        for g2 in gens[i + 1:]:
-            br = bracket_basis(g1, g2, cfg)
-            if not w.contains_element(br):
+    table = BracketTable(coords.window, cfg)
+    n = coords.n
+    for p1 in range(n):
+        for p2 in range(p1 + 1, n):
+            br = table.product[p1 * n + p2]
+            if br is not None and br[0] == OUTSIDE:
                 continue
-            for g3 in gens:
-                for h in gens:
-                    if abs(h.index - g1.index) > n or abs(h.index - g2.index) > n:
-                        continue
-                    row: SparseVec = {}
-                    for b, cb in br.terms.items():
-                        _bump(row, coords.col(b, g3, h), cb)
-                    _value_terms(row, coords, cfg, (g2, g3), g1, h, left=True)
-                    _value_terms(row, coords, cfg, (g1, g3), g2, h, left=False)
+            targets = table.anchored_targets(p1, p2)
+            for p3 in range(n):
+                # f([g1,g2], g3) - [g1, f(g2,g3)] - [f(g1,g3), g2] at h
+                base23, base13 = (p2 * n + p3) * n, (p1 * n + p3) * n
+                for h in targets:
+                    row: SparseVec = {} if br is None else {(br[0] * n + p3) * n + h: br[1]}
+                    for p, c in table.left[p1 * n + h]:
+                        vec_bump(row, base23 + p, -c)
+                    for p, c in table.right[p2 * n + h]:
+                        vec_bump(row, base13 + p, -c)
                     yield row
 
 
 def identity2_rows(coords: PairCoords, cfg: AlgebraConfig):
     """Faithful rows of identity (2), anchored at the bracketed pair."""
-    w = coords.window
-    n = w.radius
-    gens = coords.gens
-    for g1 in gens:
-        for j, g2 in enumerate(gens):
-            for g3 in gens[j + 1:]:
-                br = bracket_basis(g2, g3, cfg)
-                if not w.contains_element(br):
-                    continue
-                for h in gens:
-                    if abs(h.index - g2.index) > n or abs(h.index - g3.index) > n:
-                        continue
-                    row: SparseVec = {}
-                    for b, cb in br.terms.items():
-                        _bump(row, coords.col(g1, b, h), cb)
-                    _value_terms(row, coords, cfg, (g1, g2), g3, h, left=False)
-                    _value_terms(row, coords, cfg, (g1, g3), g2, h, left=True)
-                    yield row
+    table = BracketTable(coords.window, cfg)
+    n = coords.n
+    anchors = []
+    for p2 in range(n):
+        for p3 in range(p2 + 1, n):
+            br = table.product[p2 * n + p3]
+            if br is None or br[0] != OUTSIDE:
+                anchors.append((p2, p3, br, table.anchored_targets(p2, p3)))
+    for p1 in range(n):
+        for p2, p3, br, targets in anchors:
+            # f(g1, [g2,g3]) - [f(g1,g2), g3] - [g2, f(g1,g3)] at h
+            base12, base13 = (p1 * n + p2) * n, (p1 * n + p3) * n
+            for h in targets:
+                row: SparseVec = {} if br is None else {(p1 * n + br[0]) * n + h: br[1]}
+                for p, c in table.right[p3 * n + h]:
+                    vec_bump(row, base12 + p, -c)
+                for p, c in table.left[p2 * n + h]:
+                    vec_bump(row, base13 + p, -c)
+                yield row
 
 
 def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, PairCoords]:
@@ -444,32 +448,6 @@ def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[Spars
     for row in identity2_rows(coords, cfg):
         m.add_row(row)
     return m, coords
-
-
-def _value_terms(
-    row: SparseVec,
-    coords: PairCoords,
-    cfg: AlgebraConfig,
-    source: Pair,
-    partner: GeneratorId,
-    h: GeneratorId,
-    left: bool,
-) -> None:
-    """Subtract the [partner, f(source)] (left) or [f(source), partner]
-    (right) contribution at coordinate h."""
-    idx = h.index - partner.index
-    for fam in ("L", "Y", "M"):
-        if not cfg.valid_index(fam, idx):
-            continue
-        cand = gen(fam, idx)
-        if cand not in coords.pos:
-            continue
-        if left:
-            gamma = bracket_basis(partner, cand, cfg).coefficient(h)
-        else:
-            gamma = bracket_basis(cand, partner, cfg).coefficient(h)
-        if gamma:
-            _bump(row, coords.col(source[0], source[1], cand), -gamma)
 
 
 def predicted_biderivation_maps(w: Window, cfg: AlgebraConfig) -> List[BilinearMap]:

@@ -11,6 +11,7 @@ Exit status: 0 means verified or trivial, 1 means a defect, witness or
 mismatch was found, 2 means the invocation itself was unusable (bad flags,
 unreadable file, malformed expression, window below a subcommand's minimum).
 A mathematical negative never exits 2 and a usage problem never exits 1.
+Any other exception is an internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -384,7 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     w = Window(ns.window)
     try:
         status, payload, lines = _HANDLERS[ns.command](ns, cfg, w)
-    except (UsageError, ParseError, DomainError, OSError, ValueError) as exc:
+    except (UsageError, ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if ns.json:

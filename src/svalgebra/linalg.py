@@ -23,14 +23,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def vec_is_zero(v: SparseVec) -> bool:
-    return not v
-
-
-def vec_scaled(v: SparseVec, c: Fraction) -> SparseVec:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
+def vec_bump(row: SparseVec, col: int, c: Fraction) -> None:
+    """In-place row[col] += c for a nonzero c, dropping the entry if it cancels."""
+    old = row.get(col)
+    if old is None:
+        row[col] = c
+        return
+    nv = old + c
+    if nv:
+        row[col] = nv
+    else:
+        del row[col]
 
 
 def vec_add_scaled(target: SparseVec, src: SparseVec, c: Fraction) -> None:
@@ -199,16 +202,10 @@ def kernel_basis(m: SparseMatrix) -> SpanBasis:
         if f in pivots:
             continue
         v: SparseVec = {f: _ONE}
-        for lead, prow in pivots.items():
-            coeff = prow.get(f)
-            if coeff is not None:
-                v[lead] = -coeff
+        for lead in rr._users.get(f, ()):
+            v[lead] = -pivots[lead][f]
         kernel_vecs.append(v)
     return span_basis(kernel_vecs, m.col_count)
-
-
-def member_of_span(v: SparseVec, basis: SpanBasis) -> bool:
-    return basis.contains(v)
 
 
 def solve_linear(m: SparseMatrix, rhs: Sequence[Fraction]) -> Optional[SparseVec]:

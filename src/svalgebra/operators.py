@@ -16,6 +16,9 @@ that coordinate exists inside the window.  Concretely the inner bracket
 [g1,g2] must be window-supported and |h - g1|, |h - g2| <= N, which covers
 every re-bracketed image coordinate.  Window restrictions of genuine
 derivations then satisfy every emitted row exactly, with no tolerance.
+Rows are computed from the window's integer-position bracket table
+(``windows.BracketTable``): every term is a table lookup plus integer
+column arithmetic, with no generator or index arithmetic per row.
 """
 from __future__ import annotations
 
@@ -40,8 +43,10 @@ from .linalg import (
     kernel_basis,
     solve_linear,
     span_basis,
+    vec_bump,
 )
-from .windows import DefectReport, Window
+from .parsing import DomainError
+from .windows import OUTSIDE, BracketTable, DefectReport, Window
 
 M0 = gen("M", 0)
 
@@ -96,7 +101,7 @@ def operator_from_action(
         action[g] = mapping.get(g, ZERO)
     for g in mapping:
         if g not in action:
-            raise ValueError(f"generator {g} outside the window of radius {w.radius}")
+            raise DomainError(f"generator {g} outside the window of radius {w.radius}")
     return LinearOperator(action, label)
 
 
@@ -240,59 +245,23 @@ def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseM
     module docstring for the emission rule.
     """
     coords = OperatorCoords(w, cfg)
+    table = BracketTable(w, cfg)
     m = SparseMatrix(coords.col_count)
-    n = w.radius
-    gens = coords.gens
-    for i, g1 in enumerate(gens):
-        for g2 in gens[i + 1:]:
-            br = bracket_basis(g1, g2, cfg)
-            if not w.contains_element(br):
+    n = coords.n
+    for p1 in range(n):
+        for p2 in range(p1 + 1, n):
+            br = table.product[p1 * n + p2]
+            if br is not None and br[0] == OUTSIDE:
                 continue
-            for h in gens:
-                if abs(h.index - g1.index) > n or abs(h.index - g2.index) > n:
-                    continue
-                row: SparseVec = {}
-                for b, cb in br.terms.items():
-                    _bump(row, coords.col(b, h), cb)
-                # -[op(g1), g2] at h: image terms of op(g1) with index h - g2
-                _image_terms(row, coords, cfg, g1, g2, h, left=True)
-                # -[g1, op(g2)] at h
-                _image_terms(row, coords, cfg, g2, g1, h, left=False)
+            for h in table.anchored_targets(p1, p2):
+                row: SparseVec = {} if br is None else {br[0] * n + h: br[1]}
+                # -[op(g1), g2] at h, then -[g1, op(g2)] at h
+                for p, c in table.right[p2 * n + h]:
+                    vec_bump(row, p1 * n + p, -c)
+                for p, c in table.left[p1 * n + h]:
+                    vec_bump(row, p2 * n + p, -c)
                 m.add_row(row)
     return m, coords
-
-
-def _bump(row: SparseVec, col: int, c: Fraction) -> None:
-    nv = row.get(col, Fraction(0)) + c
-    if nv:
-        row[col] = nv
-    else:
-        row.pop(col, None)
-
-
-def _image_terms(
-    row: SparseVec,
-    coords: OperatorCoords,
-    cfg: AlgebraConfig,
-    source: GeneratorId,
-    partner: GeneratorId,
-    h: GeneratorId,
-    left: bool,
-) -> None:
-    """Subtract the [op(source), partner] (or mirrored) contribution at h."""
-    idx = h.index - partner.index
-    for fam in ("L", "Y", "M"):
-        if not cfg.valid_index(fam, idx):
-            continue
-        cand = gen(fam, idx)
-        if cand not in coords.pos:
-            continue
-        if left:
-            gamma = bracket_basis(cand, partner, cfg).coefficient(h)
-        else:
-            gamma = bracket_basis(partner, cand, cfg).coefficient(h)
-        if gamma:
-            _bump(row, coords.col(source, cand), -gamma)
 
 
 def solve_derivations(w: Window, cfg: AlgebraConfig) -> SpanBasis:
@@ -412,16 +381,16 @@ def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> D
         rows: Dict[GeneratorId, SparseVec] = {}
         for j, gj in enumerate(xs):
             for h, c in bracket_basis(gj, g, cfg).terms.items():
-                _bump(rows.setdefault(h, {}), j, c)
+                vec_bump(rows.setdefault(h, {}), j, c)
         if g.family == "L":
             mg = gen("M", g.index)
-            _bump(rows.setdefault(mg, {}), na, Fraction(1))
+            vec_bump(rows.setdefault(mg, {}), na, Fraction(1))
             if g.index:
-                _bump(rows.setdefault(mg, {}), nb, g.index)
+                vec_bump(rows.setdefault(mg, {}), nb, g.index)
         elif g.family == "Y":
-            _bump(rows.setdefault(g, {}), nc, Fraction(1))
+            vec_bump(rows.setdefault(g, {}), nc, Fraction(1))
         else:
-            _bump(rows.setdefault(g, {}), nc, Fraction(2))
+            vec_bump(rows.setdefault(g, {}), nc, Fraction(2))
         for h in target.terms:
             rows.setdefault(h, {})
         for h in sorted(rows, key=GeneratorId.sort_key):

@@ -44,7 +44,8 @@ class ParseError(ValueError):
 
 
 class DomainError(ValueError):
-    """Syntactically fine but the index is off its family's lattice."""
+    """Syntactically fine but the index is off its family's lattice, or
+    the generator lies outside the window it is used on."""
 
 
 class _Cursor:

@@ -61,7 +61,7 @@ from .biderivations import (
 )
 from .linalg import SparseMatrix, SparseVec, kernel_basis, span_basis, vec_add_scaled
 from .operators import project_columns
-from .windows import MAX_RECORDED, DefectReport, Window
+from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
 
@@ -416,15 +416,14 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     if w.radius < 3:
         raise ValueError("brute post-Lie solve needs window radius >= 3")
     coords = PairCoords(w, cfg)
-    gens = coords.gens
-    n = len(gens)
-    pos = coords.pos
+    table = BracketTable(w, cfg)
+    n = coords.n
 
     m = SparseMatrix(coords.col_count)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            base_ab = (pos[a] * n + pos[b]) * n
-            base_ba = (pos[b] * n + pos[a]) * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            base_ab = (a * n + b) * n
+            base_ba = (b * n + a) * n
             for k in range(n):
                 m.add_row({base_ab + k: _ONE, base_ba + k: -_ONE})
     for row in identity2_rows(coords, cfg):
@@ -438,20 +437,18 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     # coefficient, the quadratic part couples ((y, z), g) with ((x, g), h)
     # and ((x, z), g) with ((y, g), h) over all window g
     instances: List[Tuple[int, int, int, int, int, int]] = []
-    for i, x in enumerate(gens):
-        for y in gens[i + 1:]:
-            br = bracket_basis(x, y, cfg)
-            if not br.terms or not w.contains_element(br):
+    for x in range(n):
+        for y in range(x + 1, n):
+            br = table.product[x * n + y]
+            if br is None or br[0] == OUTSIDE:
                 continue
-            (b, _cb), = br.terms.items()
-            for z in gens:
-                base_b = (pos[b] * n + pos[z]) * n
-                base_yz = (pos[y] * n + pos[z]) * n
-                base_xz = (pos[x] * n + pos[z]) * n
-                row_x = pos[x] * n
-                row_y = pos[y] * n
+            b = br[0]
+            for z in range(n):
+                base_b = (b * n + z) * n
+                base_yz = (y * n + z) * n
+                base_xz = (x * n + z) * n
                 for k in range(n):
-                    instances.append((base_b + k, base_yz, row_x, base_xz, row_y, k))
+                    instances.append((base_b + k, base_yz, x * n, base_xz, y * n, k))
     quadratic_instances = len(instances)
 
     forced: Set[int] = set()

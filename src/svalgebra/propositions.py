@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .linalg import SparseMatrix, SparseVec, SpanBasis, kernel_basis, span_basis
+from .operators import project_columns
 from .windows import Window
 
 # ("fam", name, m, i) for grid entries, ("func", name, m) for functionals
@@ -95,10 +96,6 @@ class GridCoords:
         return v
 
 
-def project_interior(v: SparseVec, cols: Set[int]) -> SparseVec:
-    return {c: x for c, x in v.items() if c in cols}
-
-
 @dataclass
 class PropositionReport:
     """Structured verdict: exact kernel versus the closed-form family."""
@@ -147,8 +144,8 @@ def _finish(
     kernel = kernel_basis(m)
     inside = all(kernel.contains(v) for v in predicted)
     cols = coords.interior_columns()
-    ik = span_basis((project_interior(v, cols) for v in kernel.vectors), coords.col_count)
-    ip = span_basis((project_interior(v, cols) for v in predicted), coords.col_count)
+    ik = span_basis((project_columns(v, cols) for v in kernel.vectors), coords.col_count)
+    ip = span_basis((project_columns(v, cols) for v in predicted), coords.col_count)
     report = PropositionReport(
         coords=coords,
         matrix=m,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, gen, jacobi_defect
 
@@ -71,6 +71,51 @@ class Window:
 
     def is_interior(self, g: GeneratorId) -> bool:
         return abs(g.index) <= self.interior_radius
+
+
+OUTSIDE = -1
+
+
+class BracketTable:
+    """The window's structure constants on integer positions.
+
+    Positions index ``Window.generators`` in canonical order.  The bracket
+    of two generators is zero or one generator times a coefficient, so
+    ``product[a * n + b]`` is None or (target position, coefficient), the
+    target being OUTSIDE when the result leaves the window.  The inverse
+    lists, keyed by ``partner * n + target`` and in ascending position
+    order, hold every in-window (p, c): ``left`` with [partner, p] =
+    c*target, ``right`` with [p, partner] = c*target.  Because the algebra
+    is graded, these lookups replace all index arithmetic on generators.
+    """
+
+    def __init__(self, w: Window, cfg: AlgebraConfig):
+        gens = w.generators(cfg)
+        pos = {g: i for i, g in enumerate(gens)}
+        n = len(gens)
+        self.n = n
+        self.radius = w.radius
+        self.twice_index = [int(2 * g.index) for g in gens]
+        self.product: List[Optional[Tuple[int, Fraction]]] = []
+        self.left: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
+        self.right: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
+        for a, ga in enumerate(gens):
+            for b, gb in enumerate(gens):
+                entry = None
+                for g, c in bracket_basis(ga, gb, cfg).terms.items():
+                    t = pos.get(g, OUTSIDE)
+                    entry = (t, c)
+                    if t != OUTSIDE:
+                        self.left[a * n + t].append((b, c))
+                        self.right[b * n + t].append((a, c))
+                self.product.append(entry)
+
+    def anchored_targets(self, a: int, b: int) -> List[int]:
+        """Positions whose index lies within N of the indices at a and b."""
+        d = self.twice_index
+        lo = max(d[a], d[b]) - 2 * self.radius
+        hi = min(d[a], d[b]) + 2 * self.radius
+        return [h for h in range(self.n) if lo <= d[h] <= hi]
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,30 @@ class TestExitCodes:
     def test_usage_bad_epsilon(self, capsys):
         assert run(capsys, "bracket", "L[0]", "L[1]", "--epsilon", "1/3")[0] == 2
 
+    def test_usage_operator_outside_window(self, capsys, tmp_path):
+        path = tmp_path / "far.txt"
+        path.write_text("L[4] -> 1*M[4]")
+        code, _, err = run(capsys, "check-derivation", str(path), "-N", "3")
+        assert code == 2
+        assert "outside the window" in err
+
+    def test_usage_tensor_outside_window(self, capsys, tmp_path):
+        path = tmp_path / "far.tensor"
+        path.write_text("(L[0], L[3]) -> 1*L[3]")
+        code, _, err = run(capsys, "check-biderivation", str(path), "-N", "2")
+        assert code == 2
+        assert "outside the window" in err
+
+    def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        # e.g. a mis-indexed constraint row failing SparseMatrix.add_row
+        def broken(w, cfg):
+            raise ValueError("row entry outside column range")
+
+        monkeypatch.setattr("svalgebra.cli.classify_derivations", broken)
+        with pytest.raises(ValueError, match="column range"):
+            main(["solve-derivations", "-N", "3"])
+        assert capsys.readouterr().err == ""
+
 
 def test_console_entry_point():
     proc = subprocess.run(

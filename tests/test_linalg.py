@@ -7,7 +7,12 @@ import hypothesis.strategies as st
 import pytest
 
 from svalgebra import SparseMatrix, SpanBasis, kernel_basis, rank, span_basis
-from svalgebra.linalg import kernel_dimension_dense_modp, vec_add_scaled
+from svalgebra.linalg import (
+    kernel_dimension_dense_fraction,
+    kernel_dimension_dense_modp,
+    vec_add_scaled,
+    vec_bump,
+)
 
 
 def F(x):
@@ -17,6 +22,16 @@ def F(x):
 def test_vec_add_scaled_cancels():
     v = {0: F(1), 1: F(2)}
     vec_add_scaled(v, {1: F(-1)}, F(2))
+    assert v == {0: F(1)}
+
+
+def test_vec_bump_inserts_accumulates_and_cancels():
+    v = {}
+    vec_bump(v, 2, F(3))
+    vec_bump(v, 0, F(1))
+    vec_bump(v, 2, F(-1))
+    assert list(v.items()) == [(2, F(2)), (0, F(1))]
+    vec_bump(v, 2, F(-2))
     assert v == {0: F(1)}
 
 
@@ -98,6 +113,28 @@ def test_kernel_vectors_annihilated(m):
 def test_dense_modp_oracle_agrees(m):
     """The independent dense elimination sees the same kernel dimension."""
     assert kernel_dimension_dense_modp(m) == kernel_basis(m).dimension
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Wider matrices with a few nonzeros per row, so rows share columns
+    sparsely the way constraint rows do."""
+    cols = draw(st.integers(min_value=1, max_value=12))
+    m = SparseMatrix(cols)
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        picked = draw(st.lists(st.integers(0, cols - 1), max_size=3, unique=True))
+        m.add_row({c: draw(_entries.filter(bool)) for c in picked})
+    return m
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+def test_kernel_agrees_with_dense_fraction_oracle(m):
+    """Sparse elimination against textbook dense Fraction elimination."""
+    k = kernel_basis(m)
+    assert k.dimension == kernel_dimension_dense_fraction(m)
+    for v in k.vectors:
+        assert all(x == 0 for x in m.multiply(v))
 
 
 @given(matrices())
