@@ -11,7 +11,9 @@ Exit status: 0 means verified or trivial, 1 means a defect, witness or
 mismatch was found, 2 means the invocation itself was unusable (bad flags,
 unreadable file, malformed expression, window below a subcommand's minimum).
 A mathematical negative never exits 2 and a usage problem never exits 1.
-Any other exception is an internal fault and propagates with its traceback.
+Any other exception is an internal fault: ``main`` lets it propagate, and
+the ``svalg`` console entry point ``console_main`` prints its traceback to
+stderr and exits 3, so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -403,5 +406,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return status
 
 
+def console_main(argv: Optional[Sequence[str]] = None) -> int:
+    """``main`` with internal faults reported as exit status 3."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

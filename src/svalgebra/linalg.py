@@ -6,16 +6,18 @@ Everything is computed by pivoted exact Gaussian elimination over
 for a fixed column order, so every result here is deterministic and
 independent of row insertion order.
 
-A dense mod-p elimination (numpy) and a dense textbook elimination over
-Fraction are provided as independent cross-checks for kernel dimensions.
+Two independent cross-checks for kernel dimensions are provided: a sparse
+integer elimination that decides the rank over three primes in one pass
+modulo their product, and a dense textbook elimination over Fraction.
+Neither shares code with the exact elimination, and the package needs
+nothing beyond the standard library.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 SparseVec = Dict[int, Fraction]
 
@@ -233,7 +235,7 @@ def solve_linear(m: SparseMatrix, rhs: Sequence[Fraction]) -> Optional[SparseVec
     return x
 
 
-# -- independent dense cross-checks ----------------------------------------
+# -- independent cross-checks ----------------------------------------------
 
 _DEFAULT_PRIMES = (1_000_003, 1_000_033, 1_000_037)
 
@@ -243,7 +245,8 @@ def _column_components(m: SparseMatrix) -> Tuple[Dict[int, List[int]], Dict[int,
 
     Two columns are connected when some row touches both.  Returns
     (root -> sorted column list, root -> rows living in that component);
-    empty rows belong to no component.
+    empty rows belong to no component.  No solver uses it; the benchmark's
+    self-test counts blocks with it.
     """
     parent = list(range(m.col_count))
 
@@ -275,93 +278,78 @@ def _column_components(m: SparseMatrix) -> Tuple[Dict[int, List[int]], Dict[int,
     return cols_by_root, rows_by_root
 
 
-def _exact_matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p without overflow.
+def _rank_mod(rows: List[Dict[int, int]], q: int) -> Optional[int]:
+    """Rank over Z/q of integer rows by sparse row echelon elimination.
 
-    Arguments hold residues in [0, p).  Products are < p^2 < 2^40 for the
-    primes used here, so float64 accumulation over inner-dimension chunks
-    of 4096 stays below 2^53 and is exact.
+    Each pivot row is stored scaled to leading entry 1, without that
+    entry.  A row is reduced at its leading column until it vanishes or
+    leads at a new column, where it becomes a pivot row.  Only the rank is
+    needed, so nothing is back-substituted.  Returns None as soon as a
+    leading entry is not a unit mod q.
     """
-    inner = a.shape[1]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
-    for lo in range(0, inner, 4096):
-        hi = min(lo + 4096, inner)
-        out = (out + (af[:, lo:hi] @ bf[lo:hi]).astype(np.int64)) % p
-    return out
-
-
-def _component_rank_modp(rows: List[SparseVec], cols: List[int], p: int, block: int = 1024) -> int:
-    """Rank over GF(p) of one column-connected block, by dense elimination.
-
-    Maintains a reduced echelon matrix and folds rows in blockwise; each
-    block is first cleared against the accumulated pivots with one matrix
-    multiply, then swept by plain Gauss-Jordan for fresh pivots.
-    """
-    colpos = {c: j for j, c in enumerate(cols)}
-    ncols = len(cols)
-    echelon = np.zeros((0, ncols), dtype=np.int64)
-    leads: List[int] = []
-    for start in range(0, len(rows), block):
-        chunk = rows[start:start + block]
-        b = np.zeros((len(chunk), ncols), dtype=np.int64)
-        for i, row in enumerate(chunk):
-            for c, v in row.items():
-                if v.denominator % p == 0:
-                    raise ArithmeticError(f"prime {p} divides a denominator")
-                b[i, colpos[c]] = (v.numerator * pow(v.denominator, -1, p)) % p
-        if leads:
-            b = (b - _exact_matmul_modp(b[:, leads], echelon, p)) % p
-        pivot_pairs = []
-        used = np.zeros(len(chunk), dtype=bool)
-        for col in range(ncols):
-            nz = np.nonzero((b[:, col] != 0) & ~used)[0]
-            if nz.size == 0:
-                continue
-            i = int(nz[0])
-            used[i] = True
-            b[i] = (b[i] * pow(int(b[i, col]), -1, p)) % p
-            hit = np.nonzero(b[:, col])[0]
-            hit = hit[hit != i]
-            if hit.size:
-                b[hit] = (b[hit] - np.outer(b[hit, col], b[i])) % p
-            pivot_pairs.append((col, i))
-        if pivot_pairs:
-            # rows are fully swept in place, so the final row contents are RREF
-            new_leads = [c for c, _ in pivot_pairs]
-            new_mat = b[[i for _, i in pivot_pairs]]
-            if leads:
-                # keep the accumulated matrix fully reduced
-                echelon = (echelon - _exact_matmul_modp(echelon[:, new_leads], new_mat, p)) % p
-            echelon = np.vstack([echelon, new_mat])
-            leads.extend(new_leads)
-            order = np.argsort(leads, kind="stable")
-            echelon = echelon[order]
-            leads = [leads[i] for i in order]
-    return len(leads)
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        work = dict(row)
+        while work:
+            lead = min(work)
+            tail = pivots.get(lead)
+            if tail is None:
+                if gcd(work[lead], q) != 1:
+                    return None
+                inv = pow(work.pop(lead), -1, q)
+                pivots[lead] = {c: x * inv % q for c, x in work.items()}
+                break
+            f = work.pop(lead)
+            for c, x in tail.items():
+                nv = (work.get(c, 0) - f * x) % q
+                if nv:
+                    work[c] = nv
+                else:
+                    work.pop(c, None)
+    return len(pivots)
 
 
 def kernel_dimension_dense_modp(m: SparseMatrix, primes: Sequence[int] = _DEFAULT_PRIMES) -> int:
-    """Kernel dimension via dense Gauss-Jordan elimination over GF(p).
+    """Kernel dimension over GF(p) for each prime p, which must all agree.
 
-    Columns are partitioned into connected components first (rank is
-    additive across them), then each component is eliminated densely.
-    The elimination runs independently for each prime and all answers must
-    agree; a disagreement (or a prime dividing one of the denominators)
-    raises.  Rank over GF(p) never exceeds the rational rank, so agreement
-    with an exact kernel basis whose vectors were verified against the
-    matrix certifies the rational kernel dimension outright.
+    The name is kept from an earlier dense implementation; the elimination
+    is sparse.  It runs once over Z/q with q the product of the primes.
+    While every pivot is a unit mod q, Z/q is GF(p1) x GF(p2) x ... and
+    each elimination step is one over every GF(p) at once, so the pivot
+    count is the exact rank over each prime.  If a leading entry is not a
+    unit, the elimination is rerun once per prime.  A disagreement, or a
+    prime dividing one of the denominators (the smallest such prime is
+    named), raises.  Rank over GF(p) never exceeds the rational rank, so
+    agreement with an exact kernel basis whose vectors were verified
+    against the matrix certifies the rational kernel dimension outright.
     """
-    cols_by_root, rows_by_root = _column_components(m)
+    q = prod(primes)
+    inverses: Dict[int, Optional[int]] = {1: 1}
+    rows: List[Dict[int, int]] = []
+    for row in m.rows:
+        out = {}
+        for c, v in row.items():
+            d = v.denominator
+            if d not in inverses:
+                inverses[d] = pow(d, -1, q) if gcd(d, q) == 1 else None
+            inv = inverses[d]
+            if inv is not None:
+                x = v.numerator * inv % q
+                if x:
+                    out[c] = x
+        if out:
+            rows.append(out)
+    bad = [d for d, inv in inverses.items() if inv is None]
+    if bad:
+        p = min(p for p in primes if any(d % p == 0 for d in bad))
+        raise ArithmeticError(f"prime {p} divides a denominator")
+    rank_q = _rank_mod(rows, q)
+    if rank_q is not None:
+        return m.col_count - rank_q
     dims = []
     for p in primes:
-        rank_p = 0
-        for root, cols in cols_by_root.items():
-            rows = rows_by_root.get(root)
-            if rows:
-                rank_p += _component_rank_modp(rows, cols, p)
-        dims.append(m.col_count - rank_p)
+        rows_p = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+        dims.append(m.col_count - _rank_mod(rows_p, p))
     if len(set(dims)) != 1:
         raise ArithmeticError(f"mod-p eliminations disagree: {dims}")
     return dims[0]

@@ -134,6 +134,13 @@ class TestClassification:
     def test_modp_oracle(self, biderivations_n3):
         assert kernel_dimension_dense_modp(biderivations_n3.matrix) == 192
 
+    def test_kernel_dimension_frozen_n4(self):
+        bc = classify_biderivations(Window(4), CFG0)
+        assert bc.kernel_dimension == 322
+        assert kernel_dimension_dense_modp(bc.matrix) == 322
+        assert bc.predicted_in_kernel
+        assert bc.interior_match
+
     def test_skew_members(self, biderivations_n3):
         bc = biderivations_n3
         skews = skew_kernel_members(bc)

@@ -9,7 +9,7 @@ import pytest
 
 from svalgebra import AlgebraConfig, Window, builtin_derivation, gen, realize
 from svalgebra import BiderivationForm
-from svalgebra.cli import main
+from svalgebra.cli import console_main, main
 from svalgebra.parsing import format_operator_lines, format_tensor_lines
 
 CFG0 = AlgebraConfig(Fraction(0))
@@ -246,6 +246,17 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="column range"):
             main(["solve-derivations", "-N", "3"])
         assert capsys.readouterr().err == ""
+
+    def test_console_entry_point_reports_internal_fault(self, capsys, monkeypatch):
+        def broken(w, cfg):
+            raise ValueError("row entry outside column range")
+
+        monkeypatch.setattr("svalgebra.cli.classify_derivations", broken)
+        assert console_main(["solve-derivations", "-N", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.endswith("ValueError: row entry outside column range\n")
 
 
 def test_console_entry_point():

@@ -1,5 +1,13 @@
-"""Sparse rational elimination, span/kernel calculus, dense mod-p oracle."""
+"""Sparse rational elimination, span/kernel calculus, mod-p oracle.
 
+The reference oracle at the end of this file is the dense numpy
+Gauss-Jordan elimination the library used before its mod-p oracle became
+one sparse integer pass; the differential test requires both to return
+the same kernel dimension or raise the same error.
+"""
+
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -8,6 +16,7 @@ import pytest
 
 from svalgebra import SparseMatrix, SpanBasis, kernel_basis, rank, span_basis
 from svalgebra.linalg import (
+    _column_components,
     kernel_dimension_dense_fraction,
     kernel_dimension_dense_modp,
     vec_add_scaled,
@@ -149,3 +158,139 @@ def test_reduce_leaves_complement():
     s = span_basis([{0: F(1), 1: F(2)}], 3)
     r = s.reduce({0: F(3), 1: F(6), 2: F(1)})
     assert r == {2: F(1)}
+
+
+def test_modp_oracle_reports_disagreeing_primes():
+    m = SparseMatrix(1)
+    m.add_row({0: F(1_000_003)})
+    with pytest.raises(ArithmeticError) as exc:
+        kernel_dimension_dense_modp(m)
+    assert str(exc.value) == "mod-p eliminations disagree: [1, 0, 0]"
+
+
+def test_modp_oracle_refuses_a_prime_denominator():
+    m = SparseMatrix(2)
+    m.add_row({0: F(1), 1: Fraction(1, 1_000_033)})
+    with pytest.raises(ArithmeticError) as exc:
+        kernel_dimension_dense_modp(m)
+    assert str(exc.value) == "prime 1000033 divides a denominator"
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, svalgebra; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# -- the dense numpy mod-p oracle, as the library had it ---------------------
+
+_PRIMES = (1_000_003, 1_000_033, 1_000_037)
+
+
+def _reference_matmul_modp(np, a, b, p):
+    inner = a.shape[1]
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    af = a.astype(np.float64)
+    bf = b.astype(np.float64)
+    for lo in range(0, inner, 4096):
+        hi = min(lo + 4096, inner)
+        out = (out + (af[:, lo:hi] @ bf[lo:hi]).astype(np.int64)) % p
+    return out
+
+
+def _reference_component_rank_modp(np, rows, cols, p, block=1024):
+    colpos = {c: j for j, c in enumerate(cols)}
+    ncols = len(cols)
+    echelon = np.zeros((0, ncols), dtype=np.int64)
+    leads = []
+    for start in range(0, len(rows), block):
+        chunk = rows[start:start + block]
+        b = np.zeros((len(chunk), ncols), dtype=np.int64)
+        for i, row in enumerate(chunk):
+            for c, v in row.items():
+                if v.denominator % p == 0:
+                    raise ArithmeticError(f"prime {p} divides a denominator")
+                b[i, colpos[c]] = (v.numerator * pow(v.denominator, -1, p)) % p
+        if leads:
+            b = (b - _reference_matmul_modp(np, b[:, leads], echelon, p)) % p
+        pivot_pairs = []
+        used = np.zeros(len(chunk), dtype=bool)
+        for col in range(ncols):
+            nz = np.nonzero((b[:, col] != 0) & ~used)[0]
+            if nz.size == 0:
+                continue
+            i = int(nz[0])
+            used[i] = True
+            b[i] = (b[i] * pow(int(b[i, col]), -1, p)) % p
+            hit = np.nonzero(b[:, col])[0]
+            hit = hit[hit != i]
+            if hit.size:
+                b[hit] = (b[hit] - np.outer(b[hit, col], b[i])) % p
+            pivot_pairs.append((col, i))
+        if pivot_pairs:
+            new_leads = [c for c, _ in pivot_pairs]
+            new_mat = b[[i for _, i in pivot_pairs]]
+            if leads:
+                echelon = (echelon - _reference_matmul_modp(np, echelon[:, new_leads], new_mat, p)) % p
+            echelon = np.vstack([echelon, new_mat])
+            leads.extend(new_leads)
+            order = np.argsort(leads, kind="stable")
+            echelon = echelon[order]
+            leads = [leads[i] for i in order]
+    return len(leads)
+
+
+def _reference_kernel_dimension_modp(m, primes=_PRIMES):
+    np = pytest.importorskip("numpy")
+    cols_by_root, rows_by_root = _column_components(m)
+    dims = []
+    for p in primes:
+        rank_p = 0
+        for root, cols in cols_by_root.items():
+            rows = rows_by_root.get(root)
+            if rows:
+                rank_p += _reference_component_rank_modp(np, rows, cols, p)
+        dims.append(m.col_count - rank_p)
+    if len(set(dims)) != 1:
+        raise ArithmeticError(f"mod-p eliminations disagree: {dims}")
+    return dims[0]
+
+
+def _outcome(oracle, m):
+    try:
+        return oracle(m)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+# mostly small entries, often multiples of the primes (non-unit leads mod
+# their product), now and then a prime in a denominator
+_prime_multiples = st.builds(
+    lambda p, k: F(p * k),
+    st.sampled_from(_PRIMES + (_PRIMES[0] * _PRIMES[2],)),
+    st.integers(-2, 2),
+)
+_prime_denominators = st.builds(
+    lambda p, k: Fraction(k, p), st.sampled_from(_PRIMES), st.integers(1, 3)
+)
+_modp_entries = st.sampled_from(
+    [_entries] * 12 + [_prime_multiples] * 6 + [_prime_denominators]
+).flatmap(lambda s: s)
+
+
+@st.composite
+def modp_matrices(draw):
+    cols = draw(st.integers(min_value=1, max_value=8))
+    m = SparseMatrix(cols)
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        picked = draw(st.lists(st.integers(0, cols - 1), max_size=4, unique=True))
+        m.add_row({c: draw(_modp_entries.filter(bool)) for c in picked})
+    return m
+
+
+@given(modp_matrices())
+@settings(max_examples=200, deadline=None)
+def test_modp_oracle_agrees_with_dense_reference(m):
+    """Same kernel dimension, or the same error, as the dense numpy oracle."""
+    assert _outcome(kernel_dimension_dense_modp, m) == _outcome(_reference_kernel_dimension_modp, m)
