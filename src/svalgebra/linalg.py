@@ -6,6 +6,16 @@ Everything is computed by pivoted exact Gaussian elimination over
 for a fixed column order, so every result here is deterministic and
 independent of row insertion order.
 
+Before `kernel_basis` and `rank` eliminate, they settle single-entry rows.
+A row with one live column forces that column to zero, which may leave
+other rows with one live column in turn; a worklist over a column -> rows
+index follows these cascades in time linear in the nonzeros (the first
+step of sparse presolve: E. D. Andersen and K. D. Andersen, *Presolving in
+linear programming*, Math. Programming 71, 1995).  Only rows with two or
+more live columns reach the elimination.  A forced column is zero on
+every kernel vector and the kernel basis is the unique canonical RREF of
+the kernel, so the result is exactly that of eliminating every row.
+
 Two independent cross-checks for kernel dimensions are provided: a sparse
 integer elimination that decides the rank over three primes in one pass
 modulo their product, and a dense textbook elimination over Fraction.
@@ -17,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 SparseVec = Dict[int, Fraction]
 
@@ -181,27 +191,65 @@ def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
     return SpanBasis(col_count=col_count, vectors=tuple(rr.sorted_rows()))
 
 
-def rank(m: SparseMatrix) -> int:
+def _eliminate(rows: Sequence[SparseVec]) -> Tuple[Set[int], _Rref]:
+    """Forced-zero columns of a homogeneous system, and the RREF of the rest.
+
+    A row with exactly one column not yet forced forces that column to
+    zero.  Once no such row is left, every row keeps zero or at least two
+    unforced columns; those with two or more, restricted to their
+    unforced columns, are eliminated exactly.  The solutions of the system
+    are the vectors vanishing on the forced columns whose other columns
+    solve the restricted rows, and its rank is the number of forced
+    columns plus the number of pivots.  A single-entry row of an
+    inhomogeneous system fixes a value, not a zero, so `solve_linear`
+    does not use this.
+    """
+    live = [len(row) for row in rows]
+    rows_at: Dict[int, List[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            rows_at.setdefault(c, []).append(i)
+    todo = [i for i, n in enumerate(live) if n == 1]
+    forced: Set[int] = set()
+    while todo:
+        i = todo.pop()
+        if live[i] != 1:  # its last unforced column was forced by another row
+            continue
+        c = next(c for c in rows[i] if c not in forced)
+        forced.add(c)
+        for j in rows_at[c]:
+            live[j] -= 1
+            if live[j] == 1:
+                todo.append(j)
     rr = _Rref()
-    for row in m.rows:
-        rr.insert(row)
-    return len(rr.pivots)
+    for row, n in zip(rows, live):
+        if n > 1:
+            rr.insert(row if n == len(row) else {c: x for c, x in row.items() if c not in forced})
+    return forced, rr
+
+
+def rank(m: SparseMatrix) -> int:
+    """Rank of m: its forced-zero columns plus the pivots of the rest."""
+    forced, rr = _eliminate(m.rows)
+    return len(forced) + len(rr.pivots)
 
 
 def kernel_basis(m: SparseMatrix) -> SpanBasis:
     """Reduced-echelon basis of {v : m v = 0}.
 
-    The kernel is built from the free columns of the RREF of m and then
-    re-reduced to its own canonical echelon form, so re-running the
-    reduction on the output changes nothing.
+    Single-entry rows are settled first (`_eliminate`): every kernel
+    vector is zero on a forced column, so the kernel is built from the
+    columns that are neither forced nor pivots of the remaining rows' RREF.
+    It is then re-reduced to its own canonical echelon form.  That form is
+    unique for the subspace, so the vectors are exactly those of a plain
+    elimination over every row, and re-running the reduction on the
+    output changes nothing.
     """
-    rr = _Rref()
-    for row in m.rows:
-        rr.insert(row)
+    forced, rr = _eliminate(m.rows)
     pivots = rr.pivots
     kernel_vecs = []
     for f in range(m.col_count):
-        if f in pivots:
+        if f in pivots or f in forced:
             continue
         v: SparseVec = {f: _ONE}
         for lead in rr._users.get(f, ()):

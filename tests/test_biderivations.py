@@ -141,6 +141,14 @@ class TestClassification:
         assert bc.predicted_in_kernel
         assert bc.interior_match
 
+    def test_kernel_dimension_frozen_n4_half(self):
+        bc = classify_biderivations(Window(4), CFG_HALF)
+        assert bc.kernel_dimension == 332
+        assert kernel_dimension_dense_modp(bc.matrix) == 332
+        assert bc.predicted_in_kernel
+        assert bc.interior_match
+        assert bc.interior_kernel_dimension == 2
+
     def test_skew_members(self, biderivations_n3):
         bc = biderivations_n3
         skews = skew_kernel_members(bc)

@@ -1,9 +1,12 @@
 """Sparse rational elimination, span/kernel calculus, mod-p oracle.
 
-The reference oracle at the end of this file is the dense numpy
-Gauss-Jordan elimination the library used before its mod-p oracle became
-one sparse integer pass; the differential test requires both to return
-the same kernel dimension or raise the same error.
+Two references from earlier versions of the library are kept here.
+`_reference_kernel_basis` is the exact elimination over every row, as it
+was before single-entry rows were settled first; `kernel_basis` must
+return exactly its vectors.  The reference oracle at the end of this file
+is the dense numpy Gauss-Jordan elimination the library used before its
+mod-p oracle became one sparse integer pass; the differential test
+requires both to return the same kernel dimension or raise the same error.
 """
 
 import subprocess
@@ -14,14 +17,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from svalgebra import SparseMatrix, SpanBasis, kernel_basis, rank, span_basis
+from svalgebra import AlgebraConfig, SparseMatrix, SpanBasis, Window, kernel_basis, rank, span_basis
 from svalgebra.linalg import (
+    _Rref,
     _column_components,
     kernel_dimension_dense_fraction,
     kernel_dimension_dense_modp,
     vec_add_scaled,
     vec_bump,
 )
+from svalgebra.operators import derivation_constraint_matrix
 
 
 def F(x):
@@ -152,6 +157,81 @@ def test_kernel_idempotent(m):
     k = kernel_basis(m)
     again = span_basis(k.vectors, m.col_count)
     assert again.vectors == k.vectors
+
+
+# -- exact elimination over every row, as the library had it ----------------
+
+
+def _reference_rref(m):
+    rr = _Rref()
+    for row in m.rows:
+        rr.insert(row)
+    return rr
+
+
+def _reference_rank(m):
+    return len(_reference_rref(m).pivots)
+
+
+def _reference_kernel_basis(m):
+    rr = _reference_rref(m)
+    pivots = rr.pivots
+    kernel_vecs = []
+    for f in range(m.col_count):
+        if f in pivots:
+            continue
+        v = {f: F(1)}
+        for lead in rr._users.get(f, ()):
+            v[lead] = -pivots[lead][f]
+        kernel_vecs.append(v)
+    return span_basis(kernel_vecs, m.col_count)
+
+
+@st.composite
+def forcing_matrices(draw):
+    """Sparse matrices rich in single-entry rows and in two-entry rows that
+    become single-entry once a neighbour is forced, so forcing cascades."""
+    cols = draw(st.integers(min_value=1, max_value=12))
+    m = SparseMatrix(cols)
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        size = draw(st.sampled_from([1, 1, 2, 2, 2, 3, 4]))
+        picked = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=size, unique=True))
+        m.add_row({c: draw(_entries.filter(bool)) for c in picked})
+    return m
+
+
+@given(forcing_matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_equals_plain_elimination(m):
+    """Settling single-entry rows first changes no vector and no rank."""
+    assert kernel_basis(m).vectors == _reference_kernel_basis(m).vectors
+    assert rank(m) == _reference_rank(m)
+
+
+def test_forcing_chain_settles_without_recursion():
+    """Rows {0}, {0,1}, ..., {k-1,k} in reverse order: each row is settled
+    only after the one emitted after it, so a sweep over the rows would
+    need k sweeps and a recursive settle would nest k deep."""
+    k = 5000
+    m = SparseMatrix(k + 3)
+    for i in range(k, 0, -1):
+        m.add_row({i - 1: F(2), i: F(-3)})
+    m.add_row({0: F(5)})
+    kern = kernel_basis(m)
+    assert kern.dimension == m.col_count - (k + 1)
+    assert kern.vectors == ({k + 1: F(1)}, {k + 2: F(1)})
+    assert rank(m) == k + 1
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)])
+def test_kernel_equals_plain_elimination_on_derivations(epsilon):
+    m, _ = derivation_constraint_matrix(Window(4), AlgebraConfig(epsilon))
+    assert kernel_basis(m).vectors == _reference_kernel_basis(m).vectors
+
+
+def test_kernel_equals_plain_elimination_on_biderivations(biderivations_n3):
+    m = biderivations_n3.matrix
+    assert biderivations_n3.kernel.vectors == _reference_kernel_basis(m).vectors
 
 
 def test_reduce_leaves_complement():
