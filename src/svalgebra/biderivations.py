@@ -14,11 +14,17 @@ arguments, identity (2) against the last two, so those are the coordinate
 anchors for row emission and defect projection.  As for derivations, the
 constraint rows are computed from the window's integer-position bracket
 table (``windows.BracketTable``), one lookup and integer column per term.
+The defect checker runs on integer positions as well: the window first,
+then every generator a tensor value reaches outside it, each with its
+doubled index.  Tensor coefficients are scaled by D, the lcm of their
+denominators, and bracket coefficients (half-integers) are doubled, so
+each defect is computed in integers as exactly 2D times the rational one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .algebra import (
@@ -190,16 +196,10 @@ def realize(form: BiderivationForm, w: Window, cfg: AlgebraConfig) -> BilinearMa
     return BilinearMap(tensor, f"realize{form}")
 
 
-def _faithful_pairwise(e: Element, w: Window, a1: GeneratorId, a2: GeneratorId) -> Element:
-    n = w.radius
-    kept = {
-        h: c
-        for h, c in e.terms.items()
-        if abs(h.index) <= n
-        and abs(h.index - a1.index) <= n
-        and abs(h.index - a2.index) <= n
-    }
-    return Element(kept)
+def _twice(x: Fraction) -> Optional[int]:
+    """2*x as an int, or None when x is not a half-integer."""
+    q, r = divmod(2 * x.numerator, x.denominator)
+    return None if r else q
 
 
 def biderivation_defects(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> DefectReport:
@@ -211,116 +211,157 @@ def biderivation_defects(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Defec
     when the bracketed argument pair is window-supported and both
     re-bracketed values stay window-supported; the defect is compared on
     the coordinates anchored to the re-bracketed arguments.
+
+    The loops run on integer positions: the window generators first, then
+    every other generator met in a value or as an in-window bracket, each
+    with its doubled index, so the window and anchor tests compare ints.
+    The tensor is a flat list of (position, D * coefficient) terms, D the
+    lcm of its coefficient denominators, and the brackets of each window
+    generator with every position are looked up once per call with doubled
+    coefficients.  Each term of either identity is linear in f and in the
+    bracket, so the integer defect is exactly 2D times the rational one; it
+    is divided back by 2D only for a recorded violation.  Raises ValueError
+    naming a value generator whose index is not a half-integer, or a
+    bracket whose coefficient is not; generators of SV(eps) never are.
     """
     rep = DefectReport()
     gens = w.generators(cfg)
     ten = f.tensor
-    n = w.radius
     for a in gens:
         for b in gens:
             if (a, b) not in ten:
                 raise KeyError(f"bilinear map {f.label or '?'} undefined on ({a}, {b})")
-    tab: Dict[Pair, Tuple[Tuple[GeneratorId, Fraction], ...]] = {}
+    n = len(gens)
+    reach = 2 * w.radius
+    order: List[GeneratorId] = []
+    pos: Dict[GeneratorId, int] = {}
+    twice: List[int] = []
 
-    def bb(a: GeneratorId, b: GeneratorId) -> Tuple[Tuple[GeneratorId, Fraction], ...]:
-        t = tab.get((a, b))
-        if t is None:
-            t = tuple(bracket_basis(a, b, cfg).terms.items())
-            tab[(a, b)] = t
-        return t
+    def position(g: GeneratorId) -> int:
+        p = pos.get(g)
+        if p is None:
+            d = _twice(g.index)
+            if d is None:
+                raise ValueError(f"generator {g}: index {g.index} is not a half-integer")
+            twice.append(d)
+            p = pos[g] = len(order)
+            order.append(g)
+        return p
+
+    for g in gens:
+        position(g)
+    values = [ten[(a, b)].terms for a in gens for b in gens]
+    scale = lcm(*{c.denominator for terms in values for c in terms.values()})
+    # flat[a * n + b]: the terms of f(a, b) as (position, D * coefficient)
+    flat = [
+        [(position(h), c.numerator * (scale // c.denominator)) for h, c in terms.items()]
+        for terms in values
+    ]
+
+    def doubled_bracket(x: int, y: int) -> Optional[Tuple[int, int]]:
+        terms = bracket_basis(order[x], order[y], cfg).terms
+        if not terms:
+            return None
+        ((t, c),) = terms.items()
+        dc = _twice(c)
+        if dc is None:
+            raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {c} is not a half-integer")
+        return (OUTSIDE if abs(twice[x] + twice[y]) > reach else position(t)), dc
+
+    # left[g * m + h] = [g, h] and right[g * m + h] = [h, g] = -[g, h] for
+    # window g and every position h met so far: None when zero, else (target
+    # position, or OUTSIDE when it leaves the window, doubled coefficient)
+    m = len(order)
+    left = [doubled_bracket(g, h) for g in range(n) for h in range(m)]
+    right = [None if e is None else (e[0], -e[1]) for e in left]
 
     # For a monomial partner the products below never collide on an output
-    # generator (the output family is injective in the other family), so a
+    # position (the output family is injective in the other family), so a
     # plain assignment per term is exact and the first out-of-window term
     # already decides non-closedness.
-    def mono_left(g: GeneratorId, terms: Dict[GeneratorId, Fraction]) -> Optional[Dict[GeneratorId, Fraction]]:
-        out: Dict[GeneratorId, Fraction] = {}
-        for h, c in terms.items():
-            for hh, gamma in bb(g, h):
-                if abs(hh.index) > n:
+    def image(table: List[Optional[Tuple[int, int]]], base: int,
+              terms: List[Tuple[int, int]]) -> Optional[Dict[int, int]]:
+        out: Dict[int, int] = {}
+        for h, c in terms:
+            e = table[base + h]
+            if e is not None:
+                t, gamma = e
+                if t == OUTSIDE:
                     return None
-                out[hh] = c * gamma
-        return out
-
-    def mono_right(g: GeneratorId, terms: Dict[GeneratorId, Fraction]) -> Optional[Dict[GeneratorId, Fraction]]:
-        out: Dict[GeneratorId, Fraction] = {}
-        for h, c in terms.items():
-            for hh, gamma in bb(h, g):
-                if abs(hh.index) > n:
-                    return None
-                out[hh] = c * gamma
+                out[t] = c * gamma
         return out
 
     def settle(
-        inputs: Tuple[GeneratorId, GeneratorId, GeneratorId],
-        acc: Dict[GeneratorId, Fraction],
-        r1: Dict[GeneratorId, Fraction],
-        r2: Dict[GeneratorId, Fraction],
-        a1: GeneratorId,
-        a2: GeneratorId,
+        inputs: Tuple[int, int, int],
+        acc: Dict[int, int],
+        r1: Dict[int, int],
+        r2: Dict[int, int],
+        a1: int,
+        a2: int,
         rule: str,
     ) -> None:
         for part in (r1, r2):
             for h, c in part.items():
-                nv = acc.get(h, Fraction(0)) - c
+                nv = acc.get(h, 0) - c
                 if nv:
                     acc[h] = nv
                 else:
                     del acc[h]
         if acc:
-            defect = Element(
-                {
-                    h: c
-                    for h, c in acc.items()
-                    if abs(h.index) <= n
-                    and abs(h.index - a1.index) <= n
-                    and abs(h.index - a2.index) <= n
-                }
-            )
-            if not defect.is_zero:
-                rep.record(inputs, defect, rule)
+            lo = max(twice[a1], twice[a2]) - reach
+            hi = min(twice[a1], twice[a2]) + reach
+            kept = {
+                h: c
+                for h, c in acc.items()
+                if -reach <= twice[h] <= reach and lo <= twice[h] <= hi
+            }
+            if kept:
+                defect = Element({order[h]: Fraction(c, 2 * scale) for h, c in kept.items()})
+                rep.record(tuple(gens[p] for p in inputs), defect, rule)
 
     closed = 0
-    for i, g1 in enumerate(gens):
-        for g2 in gens[i + 1:]:
-            br = bb(g1, g2)
-            if br and abs(br[0][0].index) > n:
+    for p1 in range(n):
+        for p2 in range(p1 + 1, n):
+            br = left[p1 * m + p2]
+            if br is not None and br[0] == OUTSIDE:
                 continue
-            for g3 in gens:
+            for p3 in range(n):
                 # (1): f([g1,g2], g3) - [g1, f(g2,g3)] - [f(g1,g3), g2]
-                r1 = mono_left(g1, ten[(g2, g3)].terms)
+                r1 = image(left, p1 * m, flat[p2 * n + p3])
                 if r1 is None:
                     continue
-                r2 = mono_right(g2, ten[(g1, g3)].terms)
+                r2 = image(right, p2 * m, flat[p1 * n + p3])
                 if r2 is None:
                     continue
                 closed += 1
-                acc: Dict[GeneratorId, Fraction] = {}
-                for b, cb in br:
-                    for h, c in ten[(b, g3)].terms.items():
+                acc: Dict[int, int] = {}
+                if br is not None:
+                    b, cb = br
+                    for h, c in flat[b * n + p3]:
                         acc[h] = cb * c
-                settle((g1, g2, g3), acc, r1, r2, g1, g2, "identity-1")
+                settle((p1, p2, p3), acc, r1, r2, p1, p2, "identity-1")
     rep.tick(closed)
     closed = 0
-    for g1 in gens:
-        for j, g2 in enumerate(gens):
-            for g3 in gens[j + 1:]:
-                br = bb(g2, g3)
-                if br and abs(br[0][0].index) > n:
+    for p1 in range(n):
+        for p2 in range(n):
+            for p3 in range(p2 + 1, n):
+                br = left[p2 * m + p3]
+                if br is not None and br[0] == OUTSIDE:
                     continue
                 # (2): f(g1, [g2,g3]) - [f(g1,g2), g3] - [g2, f(g1,g3)]
-                r1 = mono_right(g3, ten[(g1, g2)].terms)
+                r1 = image(right, p3 * m, flat[p1 * n + p2])
                 if r1 is None:
                     continue
-                r2 = mono_left(g2, ten[(g1, g3)].terms)
+                r2 = image(left, p2 * m, flat[p1 * n + p3])
                 if r2 is None:
                     continue
                 closed += 1
                 acc = {}
-                for b, cb in br:
-                    for h, c in ten[(g1, b)].terms.items():
+                if br is not None:
+                    b, cb = br
+                    for h, c in flat[p1 * n + b]:
                         acc[h] = cb * c
-                settle((g1, g2, g3), acc, r1, r2, g2, g3, "identity-2")
+                settle((p1, p2, p3), acc, r1, r2, p2, p3, "identity-2")
     rep.tick(closed)
     return rep
 

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from svalgebra import AlgebraConfig, Window, builtin_derivation, gen, realize
+from svalgebra import AlgebraConfig, Element, Window, bilinear_map_on_window, builtin_derivation, gen, realize
 from svalgebra import BiderivationForm
-from svalgebra.cli import console_main, main
-from svalgebra.parsing import format_operator_lines, format_tensor_lines
+from svalgebra.algebra import format_element
+from svalgebra.cli import SHOWN_VIOLATIONS, console_main, main
+from svalgebra.parsing import format_operator_lines, format_tensor_lines, parse_tensor_lines
+from test_defects import _reference_biderivation_defects
 
 CFG0 = AlgebraConfig(Fraction(0))
 
@@ -171,6 +173,31 @@ class TestTensorFiles:
         assert code == 1
         assert payload["verdict"] == "no-match"
         assert payload["lam"] is None
+
+    @pytest.mark.parametrize("epsilon", ["0", "1/2"])
+    def test_perturbed_tensor_report_equals_reference(self, capsys, tmp_path, epsilon):
+        cfg, w = AlgebraConfig(Fraction(epsilon)), Window(4)
+        f = realize(BiderivationForm(Fraction(-5, 3), {-1: 2, 0: Fraction(1, 7)}), w, cfg)
+        a, b, h = w.interior_generators(cfg)[1:4]
+        f.tensor[(a, b)] = f.tensor[(a, b)] + Element({h: Fraction(3, 4)})
+        path = tmp_path / "bumped.tensor"
+        path.write_text(format_tensor_lines({k: v for k, v in f.tensor.items() if not v.is_zero}))
+        parsed = bilinear_map_on_window(parse_tensor_lines(path.read_text(), cfg), w, cfg)
+        ref = _reference_biderivation_defects(parsed, w, cfg)
+        assert ref.total > 0
+        shown = ref.violations[:SHOWN_VIOLATIONS]
+        argv = ["check-biderivation", str(path), "-N", "4", "--epsilon", epsilon]
+        code, payload = run_json(capsys, *argv, "--json")
+        assert code == 1
+        assert (payload["checked"], payload["defects"]) == (ref.checked, ref.total)
+        assert payload["violations"] == [
+            {"inputs": [str(g) for g in v.inputs], "rule": v.rule, "defect": format_element(v.defect)}
+            for v in shown
+        ]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        lines = ["defect-found", ref.summary()] + ["  " + v.describe() for v in shown]
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestSolvers:
