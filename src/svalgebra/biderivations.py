@@ -38,11 +38,10 @@ from .algebra import (
     gen,
 )
 from .linalg import (
+    KernelComparison,
     SparseMatrix,
     SparseVec,
-    SpanBasis,
     kernel_basis,
-    span_basis,
     vec_add_scaled,
     vec_bump,
 )
@@ -51,7 +50,6 @@ from .operators import (
     LinearOperator,
     builtin_derivation,
     decompose_derivation,
-    project_columns,
 )
 from .parsing import DomainError
 from .windows import OUTSIDE, BracketTable, DefectReport, Window
@@ -500,63 +498,19 @@ def predicted_biderivation_maps(w: Window, cfg: AlgebraConfig) -> List[BilinearM
     return maps
 
 
-@dataclass
-class BiderivationClassification:
-    """Solver kernel versus the classified span, with interior comparison."""
+@dataclass(frozen=True)
+class BiderivationClassification(KernelComparison):
+    """The kernel comparison, with the shifts of the classified span."""
 
-    coords: PairCoords
-    matrix: SparseMatrix
-    kernel: SpanBasis
-    predicted_vectors: List[SparseVec]
-    predicted_in_kernel: bool
-    interior_kernel: SpanBasis
-    interior_predicted: SpanBasis
     shifts: List[int]
-
-    @property
-    def kernel_dimension(self) -> int:
-        return self.kernel.dimension
-
-    @property
-    def interior_kernel_dimension(self) -> int:
-        return self.interior_kernel.dimension
-
-    @property
-    def interior_predicted_dimension(self) -> int:
-        return self.interior_predicted.dimension
-
-    @property
-    def interior_match(self) -> bool:
-        return self.interior_kernel.vectors == self.interior_predicted.vectors
-
-    @property
-    def mutual_membership(self) -> Tuple[bool, bool]:
-        return (
-            self.interior_predicted.contains_all(self.interior_kernel.vectors),
-            self.interior_kernel.contains_all(self.interior_predicted.vectors),
-        )
 
 
 def classify_biderivations(w: Window, cfg: AlgebraConfig) -> BiderivationClassification:
     if w.radius < 3:
         raise ValueError("biderivation solver needs window radius >= 3")
     m, coords = biderivation_constraint_matrix(w, cfg)
-    kernel = kernel_basis(m)
     predicted = [coords.encode(f) for f in predicted_biderivation_maps(w, cfg)]
-    inside = all(kernel.contains(v) for v in predicted)
-    cols = coords.interior_columns()
-    ik = span_basis((project_columns(v, cols) for v in kernel.vectors), coords.col_count)
-    ip = span_basis((project_columns(v, cols) for v in predicted), coords.col_count)
-    return BiderivationClassification(
-        coords=coords,
-        matrix=m,
-        kernel=kernel,
-        predicted_vectors=predicted,
-        predicted_in_kernel=inside,
-        interior_kernel=ik,
-        interior_predicted=ip,
-        shifts=representable_shifts(w),
-    )
+    return BiderivationClassification.of(coords, m, predicted, shifts=representable_shifts(w))
 
 
 def skew_kernel_members(bc: BiderivationClassification) -> List[SparseVec]:

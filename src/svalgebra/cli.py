@@ -33,6 +33,7 @@ from .biderivations import (
     classify_biderivations,
     match_form,
 )
+from .linalg import KernelComparison
 from .operators import (
     DecompositionError,
     classify_derivations,
@@ -215,10 +216,8 @@ def _cmd_check_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window)
     return (0 if rep.empty else 1), payload, [verdict] + _report_lines(rep)
 
 
-def _classification_outcome(dc, extra: Payload) -> Outcome:
-    both = dc.mutual_membership
-    ok = dc.predicted_in_kernel and dc.interior_match and all(both)
-    verdict = "classification-confirmed" if ok else "classification-mismatch"
+def _classification_outcome(dc: KernelComparison, extra: Payload) -> Outcome:
+    verdict = "classification-confirmed" if dc.confirmed else "classification-mismatch"
     payload: Payload = {"verdict": verdict}
     payload.update(extra)
     payload.update(
@@ -228,7 +227,7 @@ def _classification_outcome(dc, extra: Payload) -> Outcome:
             "interior_predicted_dimension": dc.interior_predicted_dimension,
             "predicted_in_kernel": dc.predicted_in_kernel,
             "interior_match": dc.interior_match,
-            "mutual_membership": list(both),
+            "mutual_membership": list(dc.mutual_membership),
         }
     )
     lines = [
@@ -237,7 +236,7 @@ def _classification_outcome(dc, extra: Payload) -> Outcome:
         f"interior: kernel {dc.interior_kernel_dimension},"
         f" classified {dc.interior_predicted_dimension}, match {dc.interior_match}",
     ]
-    return (0 if ok else 1), payload, lines
+    return (0 if dc.confirmed else 1), payload, lines
 
 
 def _cmd_solve_derivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
@@ -310,9 +309,7 @@ def _cmd_props(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome
     lines: List[str] = []
     ok = True
     for name, rep in solve_all_propositions(w):
-        both = rep.mutual_membership
-        good = rep.predicted_in_kernel and rep.interior_match and all(both)
-        ok = ok and good
+        ok = ok and rep.confirmed
         systems[name] = {
             "kernel_dimension": rep.kernel_dimension,
             "interior_kernel_dimension": rep.interior_kernel_dimension,

@@ -16,18 +16,22 @@ more live columns reach the elimination.  A forced column is zero on
 every kernel vector and the kernel basis is the unique canonical RREF of
 the kernel, so the result is exactly that of eliminating every row.
 
-Two independent cross-checks for kernel dimensions are provided: a sparse
-integer elimination that decides the rank over three primes in one pass
-modulo their product, and a dense textbook elimination over Fraction.
-Neither shares code with the exact elimination, and the package needs
-nothing beyond the standard library.
+`KernelComparison` is the one test every classification here goes
+through: the exact kernel of a window's constraint matrix against the span
+of the classified family, compared on the coordinates the window cannot
+clip.
+
+The independent cross-check for kernel dimensions is a sparse integer
+elimination that decides the rank over three primes in one pass modulo
+their product.  It shares no code with the exact elimination, and the
+package needs nothing beyond the standard library.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 SparseVec = Dict[int, Fraction]
 
@@ -283,7 +287,75 @@ def solve_linear(m: SparseMatrix, rhs: Sequence[Fraction]) -> Optional[SparseVec
     return x
 
 
-# -- independent cross-checks ----------------------------------------------
+def project_columns(v: SparseVec, cols: Set[int]) -> SparseVec:
+    return {c: x for c, x in v.items() if c in cols}
+
+
+@dataclass(frozen=True)
+class KernelComparison:
+    """Exact kernel of a constraint matrix versus a classified spanning set.
+
+    ``coords`` is the column layout of the matrix: it has ``col_count`` and
+    ``interior_columns()``, the coordinates where window encodings of
+    genuine solutions are exact.  The classification is confirmed on the
+    window when every predicted vector lies in the kernel and the kernel
+    and the predicted span project to the same subspace of the interior.
+    Both projected spans are canonical reduced bases, so the interior
+    match is literal equality of their vectors; ``mutual_membership``
+    checks the two inclusions separately.
+    """
+
+    coords: Any
+    matrix: SparseMatrix
+    kernel: SpanBasis
+    predicted_vectors: List[SparseVec]
+    predicted_in_kernel: bool
+    interior_kernel: SpanBasis
+    interior_predicted: SpanBasis
+    mutual_membership: Tuple[bool, bool]
+
+    @classmethod
+    def of(cls, coords: Any, m: SparseMatrix, predicted: List[SparseVec], **extra: Any):
+        """Solve m exactly and compare its kernel with the span of predicted;
+        ``extra`` fills the fields a subclass adds."""
+        kernel = kernel_basis(m)
+        cols = coords.interior_columns()
+        ik = span_basis((project_columns(v, cols) for v in kernel.vectors), coords.col_count)
+        ip = span_basis((project_columns(v, cols) for v in predicted), coords.col_count)
+        return cls(
+            coords=coords,
+            matrix=m,
+            kernel=kernel,
+            predicted_vectors=predicted,
+            predicted_in_kernel=kernel.contains_all(predicted),
+            interior_kernel=ik,
+            interior_predicted=ip,
+            mutual_membership=(ip.contains_all(ik.vectors), ik.contains_all(ip.vectors)),
+            **extra,
+        )
+
+    @property
+    def kernel_dimension(self) -> int:
+        return self.kernel.dimension
+
+    @property
+    def interior_kernel_dimension(self) -> int:
+        return self.interior_kernel.dimension
+
+    @property
+    def interior_predicted_dimension(self) -> int:
+        return self.interior_predicted.dimension
+
+    @property
+    def interior_match(self) -> bool:
+        return self.interior_kernel.vectors == self.interior_predicted.vectors
+
+    @property
+    def confirmed(self) -> bool:
+        return self.predicted_in_kernel and self.interior_match and all(self.mutual_membership)
+
+
+# -- independent cross-check -----------------------------------------------
 
 _DEFAULT_PRIMES = (1_000_003, 1_000_033, 1_000_037)
 
@@ -401,37 +473,3 @@ def kernel_dimension_dense_modp(m: SparseMatrix, primes: Sequence[int] = _DEFAUL
     if len(set(dims)) != 1:
         raise ArithmeticError(f"mod-p eliminations disagree: {dims}")
     return dims[0]
-
-
-def kernel_dimension_dense_fraction(m: SparseMatrix) -> int:
-    """Kernel dimension via textbook dense elimination over Fraction.
-
-    No sparsity tricks; intended for small matrices as a fully independent
-    rational-arithmetic oracle.
-    """
-    rows = [[_ZERO] * m.col_count for _ in range(m.row_count)]
-    for i, row in enumerate(m.rows):
-        for c, v in row.items():
-            rows[i][c] = v
-    rank_q = 0
-    for col in range(m.col_count):
-        pivot = None
-        for i in range(rank_q, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank_q], rows[pivot] = rows[pivot], rows[rank_q]
-        inv = _ONE / rows[rank_q][col]
-        if inv != 1:
-            rows[rank_q] = [x * inv for x in rows[rank_q]]
-        prow = rows[rank_q]
-        for i in range(len(rows)):
-            if i != rank_q and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        rank_q += 1
-        if rank_q == len(rows):
-            break
-    return m.col_count - rank_q

@@ -1,13 +1,14 @@
 """Linear operators on a window: derivations, their solver and decomposition.
 
 A derivation is a linear map with op([x,y]) = [op(x),y] + [x,op(y)].  On a
-finite window three things live here:
+finite window four things live here:
 
   * the three outer derivations (D1, D2, D3) and inner derivations ad x,
   * a defect checker for the Leibniz identity over window pairs,
-  * an exact solver whose kernel is the space of all window operators
-    satisfying every truncation-faithful Leibniz constraint, plus the
-    comparison of that kernel against the span of the known derivations,
+  * the exact constraint system whose kernel is the space of all window
+    operators satisfying every truncation-faithful Leibniz constraint,
+    compared (``linalg.KernelComparison``) against the span of the known
+    derivations,
   * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3.
 
 Truncation discipline: a constraint row is emitted for a pair (g1, g2) and
@@ -37,12 +38,11 @@ from .algebra import (
     gen,
 )
 from .linalg import (
+    KernelComparison,
     SparseMatrix,
     SparseVec,
-    SpanBasis,
-    kernel_basis,
+    project_columns,  # re-exported: the benchmark and tests import it from here
     solve_linear,
-    span_basis,
     vec_bump,
 )
 from .parsing import DomainError
@@ -234,10 +234,6 @@ class OperatorCoords:
         return cols
 
 
-def project_columns(v: SparseVec, cols: Set[int]) -> SparseVec:
-    return {c: x for c, x in v.items() if c in cols}
-
-
 def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, OperatorCoords]:
     """The exact linear system cutting out all window derivations.
 
@@ -264,13 +260,6 @@ def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseM
     return m, coords
 
 
-def solve_derivations(w: Window, cfg: AlgebraConfig) -> SpanBasis:
-    if w.radius < 3:
-        raise ValueError("derivation solver needs window radius >= 3")
-    m, _ = derivation_constraint_matrix(w, cfg)
-    return kernel_basis(m)
-
-
 def predicted_derivation_operators(w: Window, cfg: AlgebraConfig) -> List[LinearOperator]:
     """Spanning set of the classified derivation space on the window:
     every ad g with g != M_0 (M_0 is central), plus D1, D2, D3."""
@@ -283,63 +272,12 @@ def predicted_derivation_operators(w: Window, cfg: AlgebraConfig) -> List[Linear
     return ops
 
 
-@dataclass
-class DerivationClassification:
-    """Solver kernel versus the classified span, with interior comparison."""
-
-    coords: OperatorCoords
-    matrix: SparseMatrix
-    kernel: SpanBasis
-    predicted_vectors: List[SparseVec]
-    predicted_in_kernel: bool
-    interior_kernel: SpanBasis
-    interior_predicted: SpanBasis
-
-    @property
-    def kernel_dimension(self) -> int:
-        return self.kernel.dimension
-
-    @property
-    def interior_kernel_dimension(self) -> int:
-        return self.interior_kernel.dimension
-
-    @property
-    def interior_predicted_dimension(self) -> int:
-        return self.interior_predicted.dimension
-
-    @property
-    def interior_match(self) -> bool:
-        # both spans are canonical reduced bases, so span equality is
-        # literal equality of the basis tuples
-        return self.interior_kernel.vectors == self.interior_predicted.vectors
-
-    @property
-    def mutual_membership(self) -> Tuple[bool, bool]:
-        return (
-            self.interior_predicted.contains_all(self.interior_kernel.vectors),
-            self.interior_kernel.contains_all(self.interior_predicted.vectors),
-        )
-
-
-def classify_derivations(w: Window, cfg: AlgebraConfig) -> DerivationClassification:
+def classify_derivations(w: Window, cfg: AlgebraConfig) -> KernelComparison:
     if w.radius < 3:
         raise ValueError("derivation solver needs window radius >= 3")
     m, coords = derivation_constraint_matrix(w, cfg)
-    kernel = kernel_basis(m)
     predicted = [coords.encode(op) for op in predicted_derivation_operators(w, cfg)]
-    inside = all(kernel.contains(v) for v in predicted)
-    cols = coords.interior_columns()
-    ik = span_basis((project_columns(v, cols) for v in kernel.vectors), coords.col_count)
-    ip = span_basis((project_columns(v, cols) for v in predicted), coords.col_count)
-    return DerivationClassification(
-        coords=coords,
-        matrix=m,
-        kernel=kernel,
-        predicted_vectors=predicted,
-        predicted_in_kernel=inside,
-        interior_kernel=ik,
-        interior_predicted=ip,
-    )
+    return KernelComparison.of(coords, m, predicted)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.reason = message
         self.position = position
 
 
@@ -180,6 +181,13 @@ def parse_rational(text: str) -> Fraction:
     return r
 
 
+def _on_line(lineno: int, exc: ValueError) -> ValueError:
+    """The same error with its file line number in front of the message."""
+    if isinstance(exc, ParseError):
+        return ParseError(f"line {lineno}: {exc.reason}", exc.position)
+    return type(exc)(f"line {lineno}: {exc}")
+
+
 def _content_lines(text: str):
     """Yield (line number, text) with comments and blank lines dropped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -203,7 +211,7 @@ def parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Ele
             g = parse_generator(lhs.strip(), cfg)
             img = parse_element(rhs.strip(), cfg)
         except ValueError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            raise _on_line(lineno, exc) from None
         if g in action:
             raise ParseError(f"line {lineno}: duplicate generator {g}", 0)
         action[g] = img
@@ -232,7 +240,7 @@ def parse_tensor_lines(text: str, cfg: AlgebraConfig) -> Dict[Tuple[GeneratorId,
                 raise ParseError("trailing input after pair", cur.pos)
             img = parse_element(rhs.strip(), cfg)
         except ValueError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            raise _on_line(lineno, exc) from None
         key = (g1, g2)
         if key in tensor:
             raise ParseError(f"line {lineno}: duplicate pair ({g1}, {g2})", 0)
@@ -254,7 +262,7 @@ def parse_omega_lines(text: str) -> Dict[int, Fraction]:
             k_frac = parse_rational(lhs[3:-1].strip())
             value = parse_rational(rhs.strip())
         except ValueError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            raise _on_line(lineno, exc) from None
         if k_frac.denominator != 1:
             raise DomainError(f"line {lineno}: shift {k_frac} is not an integer")
         k = int(k_frac)

@@ -59,8 +59,7 @@ from .biderivations import (
     identity2_rows,
     realize,
 )
-from .linalg import SparseMatrix, SparseVec, kernel_basis, span_basis, vec_add_scaled
-from .operators import project_columns
+from .linalg import SparseMatrix, SparseVec, kernel_basis, project_columns, span_basis, vec_add_scaled
 from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]

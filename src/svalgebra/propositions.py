@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .linalg import SparseMatrix, SparseVec, SpanBasis, kernel_basis, span_basis
-from .operators import project_columns
+from .linalg import KernelComparison, SparseMatrix, SparseVec, SpanBasis
 from .windows import Window
 
 # ("fam", name, m, i) for grid entries, ("func", name, m) for functionals
@@ -96,68 +95,13 @@ class GridCoords:
         return v
 
 
-@dataclass
-class PropositionReport:
-    """Structured verdict: exact kernel versus the closed-form family."""
+@dataclass(frozen=True)
+class PropositionReport(KernelComparison):
+    """The kernel comparison, with one label per constraint row and the
+    free directions the closed-form family adds to it."""
 
-    coords: GridCoords
-    matrix: SparseMatrix
     row_labels: List[Label]
-    kernel: SpanBasis
-    predicted_vectors: List[SparseVec]
-    predicted_in_kernel: bool
-    interior_kernel: SpanBasis
-    interior_predicted: SpanBasis
     free_directions: List[Label]
-
-    @property
-    def kernel_dimension(self) -> int:
-        return self.kernel.dimension
-
-    @property
-    def interior_kernel_dimension(self) -> int:
-        return self.interior_kernel.dimension
-
-    @property
-    def interior_predicted_dimension(self) -> int:
-        return self.interior_predicted.dimension
-
-    @property
-    def interior_match(self) -> bool:
-        return self.interior_kernel.vectors == self.interior_predicted.vectors
-
-    @property
-    def mutual_membership(self) -> Tuple[bool, bool]:
-        return (
-            self.interior_predicted.contains_all(self.interior_kernel.vectors),
-            self.interior_kernel.contains_all(self.interior_predicted.vectors),
-        )
-
-
-def _finish(
-    coords: GridCoords,
-    m: SparseMatrix,
-    labels: List[Label],
-    predicted: List[SparseVec],
-    free_dirs: List[Label],
-) -> Tuple[SpanBasis, PropositionReport]:
-    kernel = kernel_basis(m)
-    inside = all(kernel.contains(v) for v in predicted)
-    cols = coords.interior_columns()
-    ik = span_basis((project_columns(v, cols) for v in kernel.vectors), coords.col_count)
-    ip = span_basis((project_columns(v, cols) for v in predicted), coords.col_count)
-    report = PropositionReport(
-        coords=coords,
-        matrix=m,
-        row_labels=labels,
-        kernel=kernel,
-        predicted_vectors=predicted,
-        predicted_in_kernel=inside,
-        interior_kernel=ik,
-        interior_predicted=ip,
-        free_directions=free_dirs,
-    )
-    return kernel, report
 
 
 def representable_grid_shifts(w_radius: int) -> List[int]:
@@ -166,39 +110,49 @@ def representable_grid_shifts(w_radius: int) -> List[int]:
     return list(range(-budget, budget + 1))
 
 
-def prop1_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
-    """System (i-n)*k[m; i] = (2m-n-i)*h[n; n-m+i] over all in-window
-    (m, n, i) with n-m+i in-window.  Solution family: k[m; i] = h[m; i] =
-    delta(m, i) * lam, one free parameter."""
-    if w.radius < 2:
-        raise ValueError("window radius must be >= 2")
-    w_radius = w.radius
-    coords = GridCoords(w_radius, ("k", "h"))
+def _two_family_rows(
+    coords: GridCoords,
+    left: Callable[[int, int, int], Fraction],
+    right: Callable[[int, int, int], Fraction],
+) -> Tuple[SparseMatrix, List[Label]]:
+    """Rows left(m,n,i)*a[m; i] = right(m,n,i)*b[n; n-m+i] over all
+    in-window (m, n, i) with n-m+i in-window, for coords.families = (a, b)."""
+    a, b = coords.families
     m_ = SparseMatrix(coords.col_count)
     labels: List[Label] = []
-    rng = range(-w_radius, w_radius + 1)
+    rng = range(-coords.radius, coords.radius + 1)
     for m in rng:
         for n in rng:
             for i in rng:
                 j = n - m + i
                 if not coords.in_window(j):
                     continue
-                row: SparseVec = {}
-                c1 = Fraction(i - n)
-                if c1:
-                    row[coords.family_col("k", m, i)] = c1
-                c2 = Fraction(2 * m - n - i)
-                if c2:
-                    col = coords.family_col("h", n, j)
-                    row[col] = row.get(col, Fraction(0)) - c2
-                    if not row[col]:
-                        del row[col]
-                m_.add_row(row)
+                m_.add_row(
+                    {
+                        coords.family_col(a, m, i): left(m, n, i),
+                        coords.family_col(b, n, j): -right(m, n, i),
+                    }
+                )
                 labels.append(("eq", m, n, i))
+    return m_, labels
+
+
+def prop1_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
+    """System (i-n)*k[m; i] = (2m-n-i)*h[n; n-m+i] over all in-window
+    (m, n, i) with n-m+i in-window.  Solution family: k[m; i] = h[m; i] =
+    delta(m, i) * lam, one free parameter."""
+    if w.radius < 2:
+        raise ValueError("window radius must be >= 2")
+    coords = GridCoords(w.radius, ("k", "h"))
+    m_, labels = _two_family_rows(
+        coords, lambda m, n, i: Fraction(i - n), lambda m, n, i: Fraction(2 * m - n - i)
+    )
+    rng = range(-w.radius, w.radius + 1)
     delta = coords.encode(
         {("k", t, t): Fraction(1) for t in rng} | {("h", t, t): Fraction(1) for t in rng}
     )
-    return _finish(coords, m_, labels, [delta], [])
+    report = PropositionReport.of(coords, m_, [delta], row_labels=labels, free_directions=[])
+    return report.kernel, report
 
 
 def prop2_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
@@ -206,30 +160,12 @@ def prop2_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
     is zero, so the interior kernel must vanish."""
     if w.radius < 3:
         raise ValueError("window radius must be >= 3")
-    w_radius = w.radius
-    coords = GridCoords(w_radius, ("t", "g"))
-    m_ = SparseMatrix(coords.col_count)
-    labels: List[Label] = []
-    rng = range(-w_radius, w_radius + 1)
-    for m in rng:
-        for n in rng:
-            for i in rng:
-                j = n - m + i
-                if not coords.in_window(j):
-                    continue
-                row: SparseVec = {}
-                c1 = i - Fraction(n, 2)
-                if c1:
-                    row[coords.family_col("t", m, i)] = c1
-                c2 = Fraction(3 * m, 2) - n - i
-                if c2:
-                    col = coords.family_col("g", n, j)
-                    row[col] = row.get(col, Fraction(0)) - c2
-                    if not row[col]:
-                        del row[col]
-                m_.add_row(row)
-                labels.append(("eq", m, n, i))
-    return _finish(coords, m_, labels, [], [])
+    coords = GridCoords(w.radius, ("t", "g"))
+    m_, labels = _two_family_rows(
+        coords, lambda m, n, i: i - Fraction(n, 2), lambda m, n, i: Fraction(3 * m, 2) - n - i
+    )
+    report = PropositionReport.of(coords, m_, [], row_labels=labels, free_directions=[])
+    return report.kernel, report
 
 
 def prop3_spike(coords: GridCoords, k: int) -> SparseVec:
@@ -276,12 +212,13 @@ def prop3_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
                 j = n - m + i
                 if not coords.in_window(j):
                     continue
-                row: SparseVec = {coords.family_col("s", m, i): Fraction(i)}
-                col = coords.family_col("e", n, j)
-                row[col] = row.get(col, Fraction(0)) + j
-                if not row[col]:
-                    del row[col]
-                m_.add_row(row)
+                # i = 0 and i = m - n (that is j = 0) are skipped: both entries are nonzero
+                m_.add_row(
+                    {
+                        coords.family_col("s", m, i): Fraction(i),
+                        coords.family_col("e", n, j): Fraction(j),
+                    }
+                )
                 labels.append(("eq-s-e", m, n, i))
     for m in rng:
         for n in rng:
@@ -317,7 +254,8 @@ def prop3_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
         for m in rng:
             predicted.append(coords.encode({(name, m, 0): Fraction(1)}))
             free_dirs.append(("fam", name, m, 0))
-    return _finish(coords, m_, labels, predicted, free_dirs)
+    report = PropositionReport.of(coords, m_, predicted, row_labels=labels, free_directions=free_dirs)
+    return report.kernel, report
 
 
 def prop4_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
@@ -342,7 +280,8 @@ def prop4_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
                 labels.append(("eq", m, n, i))
     predicted = [coords.encode({("q", n, n): Fraction(1)}) for n in rng]
     free_dirs: List[Label] = [("fam", "q", n, n) for n in rng]
-    return _finish(coords, m_, labels, predicted, free_dirs)
+    report = PropositionReport.of(coords, m_, predicted, row_labels=labels, free_directions=free_dirs)
+    return report.kernel, report
 
 
 def solve_all_propositions(w: Window) -> List[Tuple[str, PropositionReport]]:

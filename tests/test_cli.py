@@ -225,6 +225,148 @@ class TestSolvers:
         assert payload["systems"]["prop4"]["free_directions"] == 9
 
 
+_PROPS_N4_TEXT = (
+    "prop1: kernel 5, interior 1 (classified 1), match True\n"
+    "prop2: kernel 4, interior 0 (classified 0), match True\n"
+    "prop3: kernel 35, interior 15 (classified 15), match True\n"
+    "prop4: kernel 9, interior 5 (classified 5), match True\n"
+)
+_PROPS_N4_SYSTEMS = (
+    '"systems": {'
+    '"prop1": {"kernel_dimension": 5, "interior_kernel_dimension": 1,'
+    ' "interior_predicted_dimension": 1, "free_directions": 0, "interior_match": true},'
+    ' "prop2": {"kernel_dimension": 4, "interior_kernel_dimension": 0,'
+    ' "interior_predicted_dimension": 0, "free_directions": 0, "interior_match": true},'
+    ' "prop3": {"kernel_dimension": 35, "interior_kernel_dimension": 15,'
+    ' "interior_predicted_dimension": 15, "free_directions": 18, "interior_match": true},'
+    ' "prop4": {"kernel_dimension": 9, "interior_kernel_dimension": 5,'
+    ' "interior_predicted_dimension": 5, "free_directions": 9, "interior_match": true}}'
+)
+
+
+class TestClassificationGolden:
+    """Full text and JSON output of the classification subcommands, in both
+    parities, and of the mismatch branch with a sabotaged classified span."""
+
+    @pytest.mark.parametrize(
+        "epsilon, kernel, interior", [("0", 71, 17), ("1/2", 66, 16)]
+    )
+    def test_solve_derivations(self, capsys, epsilon, kernel, interior):
+        args = ("solve-derivations", "-N", "3", "--epsilon", epsilon)
+        assert run(capsys, *args) == (
+            0,
+            f"classification-confirmed\nkernel dimension {kernel}\n"
+            f"interior: kernel {interior}, classified {interior}, match True\n",
+            "",
+        )
+        assert run(capsys, *args, "--json") == (
+            0,
+            f'{{"command": "solve-derivations", "epsilon": "{epsilon}", "window": 3,'
+            f' "seed": null, "verdict": "classification-confirmed",'
+            f' "kernel_dimension": {kernel}, "interior_kernel_dimension": {interior},'
+            f' "interior_predicted_dimension": {interior}, "predicted_in_kernel": true,'
+            f' "interior_match": true, "mutual_membership": [true, true]}}\n',
+            "",
+        )
+
+    @pytest.mark.parametrize("epsilon, kernel", [("0", 192), ("1/2", 158)])
+    def test_solve_biderivations(self, capsys, epsilon, kernel):
+        args = ("solve-biderivations", "-N", "3", "--epsilon", epsilon)
+        assert run(capsys, *args) == (
+            0,
+            f"classification-confirmed\nkernel dimension {kernel}\n"
+            "interior: kernel 4, classified 4, match True\n",
+            "",
+        )
+        assert run(capsys, *args, "--json") == (
+            0,
+            f'{{"command": "solve-biderivations", "epsilon": "{epsilon}", "window": 3,'
+            f' "seed": null, "verdict": "classification-confirmed",'
+            f' "shifts": ["-1", "0", "1"], "kernel_dimension": {kernel},'
+            ' "interior_kernel_dimension": 4, "interior_predicted_dimension": 4,'
+            ' "predicted_in_kernel": true, "interior_match": true,'
+            ' "mutual_membership": [true, true]}\n',
+            "",
+        )
+
+    @pytest.mark.parametrize("epsilon", ["0", "1/2"])
+    def test_props(self, capsys, epsilon):
+        args = ("props", "-N", "4", "--epsilon", epsilon)
+        assert run(capsys, *args) == (0, "classification-confirmed\n" + _PROPS_N4_TEXT, "")
+        assert run(capsys, *args, "--json") == (
+            0,
+            f'{{"command": "props", "epsilon": "{epsilon}", "window": 4, "seed": null,'
+            f' "verdict": "classification-confirmed", {_PROPS_N4_SYSTEMS}}}\n',
+            "",
+        )
+
+    def test_derivation_mismatch(self, capsys, monkeypatch):
+        import svalgebra.operators as operators
+
+        full = operators.predicted_derivation_operators
+        monkeypatch.setattr(
+            operators,
+            "predicted_derivation_operators",
+            lambda w, cfg: [op for op in full(w, cfg) if op.label != "D3"],
+        )
+        assert run(capsys, "solve-derivations", "-N", "3") == (
+            1,
+            "classification-mismatch\nkernel dimension 71\n"
+            "interior: kernel 17, classified 16, match False\n",
+            "",
+        )
+        assert run(capsys, "solve-derivations", "-N", "3", "--json") == (
+            1,
+            '{"command": "solve-derivations", "epsilon": "0", "window": 3, "seed": null,'
+            ' "verdict": "classification-mismatch", "kernel_dimension": 71,'
+            ' "interior_kernel_dimension": 17, "interior_predicted_dimension": 16,'
+            ' "predicted_in_kernel": true, "interior_match": false,'
+            ' "mutual_membership": [false, true]}\n',
+            "",
+        )
+
+    def test_biderivation_mismatch(self, capsys, monkeypatch):
+        import svalgebra.biderivations as biderivations
+
+        full = biderivations.predicted_biderivation_maps
+        monkeypatch.setattr(
+            biderivations, "predicted_biderivation_maps", lambda w, cfg: full(w, cfg)[:-1]
+        )
+        assert run(capsys, "solve-biderivations", "-N", "3", "--json") == (
+            1,
+            '{"command": "solve-biderivations", "epsilon": "0", "window": 3, "seed": null,'
+            ' "verdict": "classification-mismatch", "shifts": ["-1", "0", "1"],'
+            ' "kernel_dimension": 192, "interior_kernel_dimension": 4,'
+            ' "interior_predicted_dimension": 3, "predicted_in_kernel": true,'
+            ' "interior_match": false, "mutual_membership": [false, true]}\n',
+            "",
+        )
+
+    def test_props_mismatch_outside_the_interior(self, capsys, monkeypatch):
+        # the perturbed entry s[-4; -4] lies outside the interior, so only
+        # the predicted-in-kernel check can catch it
+        import svalgebra.propositions as propositions
+
+        spike = propositions.prop3_spike
+
+        def perturbed(coords, k):
+            v = spike(coords, k)
+            if k == 0:
+                v[min(v)] += 1
+            return v
+
+        monkeypatch.setattr(propositions, "prop3_spike", perturbed)
+        assert run(capsys, "props", "-N", "4") == (
+            1, "classification-mismatch\n" + _PROPS_N4_TEXT, ""
+        )
+        assert run(capsys, "props", "-N", "4", "--json") == (
+            1,
+            '{"command": "props", "epsilon": "0", "window": 4, "seed": null,'
+            f' "verdict": "classification-mismatch", {_PROPS_N4_SYSTEMS}}}\n',
+            "",
+        )
+
+
 class TestExitCodes:
     def test_usage_small_window_for_solver(self, capsys):
         assert run(capsys, "solve-derivations", "-N", "2")[0] == 2
@@ -263,6 +405,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "check-biderivation", str(path), "-N", "2")
         assert code == 2
         assert "outside the window" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("check-derivation", "L[0] -> L[oops]"), ("check-biderivation", "(L[0], L[1]) -> L[oops]")],
+    )
+    def test_usage_malformed_expression_in_file(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path), "-N", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: expected digits (at position 2)\n"
 
     def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
         # e.g. a mis-indexed constraint row failing SparseMatrix.add_row

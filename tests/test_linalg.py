@@ -1,9 +1,11 @@
 """Sparse rational elimination, span/kernel calculus, mod-p oracle.
 
-Two references from earlier versions of the library are kept here.
+Three references from earlier versions of the library are kept here.
 `_reference_kernel_basis` is the exact elimination over every row, as it
 was before single-entry rows were settled first; `kernel_basis` must
-return exactly its vectors.  The reference oracle at the end of this file
+return exactly its vectors.  `kernel_dimension_dense_fraction` is a
+textbook dense elimination over Fraction that shares no code with the
+library.  The reference oracle at the end of this file
 is the dense numpy Gauss-Jordan elimination the library used before its
 mod-p oracle became one sparse integer pass; the differential test
 requires both to return the same kernel dimension or raise the same error.
@@ -21,7 +23,6 @@ from svalgebra import AlgebraConfig, SparseMatrix, SpanBasis, Window, kernel_bas
 from svalgebra.linalg import (
     _Rref,
     _column_components,
-    kernel_dimension_dense_fraction,
     kernel_dimension_dense_modp,
     vec_add_scaled,
     vec_bump,
@@ -139,6 +140,40 @@ def sparse_matrices(draw):
         picked = draw(st.lists(st.integers(0, cols - 1), max_size=3, unique=True))
         m.add_row({c: draw(_entries.filter(bool)) for c in picked})
     return m
+
+
+def kernel_dimension_dense_fraction(m: SparseMatrix) -> int:
+    """Kernel dimension via textbook dense elimination over Fraction.
+
+    No sparsity tricks; intended for small matrices as a fully independent
+    rational-arithmetic oracle.
+    """
+    rows = [[Fraction(0)] * m.col_count for _ in range(m.row_count)]
+    for i, row in enumerate(m.rows):
+        for c, v in row.items():
+            rows[i][c] = v
+    rank_q = 0
+    for col in range(m.col_count):
+        pivot = None
+        for i in range(rank_q, len(rows)):
+            if rows[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank_q], rows[pivot] = rows[pivot], rows[rank_q]
+        inv = 1 / rows[rank_q][col]
+        if inv != 1:
+            rows[rank_q] = [x * inv for x in rows[rank_q]]
+        prow = rows[rank_q]
+        for i in range(len(rows)):
+            if i != rank_q and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        rank_q += 1
+        if rank_q == len(rows):
+            break
+    return m.col_count - rank_q
 
 
 @given(sparse_matrices())

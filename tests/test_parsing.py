@@ -152,3 +152,24 @@ class TestFileFormats:
     def test_malformed_line(self):
         with pytest.raises(ParseError):
             parse_operator_lines("L[1] => M[1]\n", CFG0)
+
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (lambda t: parse_operator_lines(t, CFG0), "L[1] -> M[1]\nL[2] -> L[oops]\n", 2),
+            (lambda t: parse_tensor_lines(t, CFG0), "\n(L[0], L[1]) -> L[oops]\n", 2),
+            (parse_omega_lines, "mu[0] = 1\n# tail\nmu[x] = 1\n", 0),
+        ],
+        ids=["operator", "tensor", "omega"],
+    )
+    def test_malformed_expression_names_its_line(self, parse, text, position):
+        lineno = 2 if "oops" in text else 3
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert str(info.value).startswith(f"line {lineno}: expected digits")
+        assert str(info.value).count("(at position") == 1
+
+    def test_domain_error_names_its_line(self):
+        with pytest.raises(DomainError, match=r"^line 1: index 1/2 invalid"):
+            parse_operator_lines("L[1] -> Y[1/2]\n", CFG0)
