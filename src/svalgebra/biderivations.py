@@ -8,23 +8,19 @@ A biderivation satisfies two identities on all inputs:
 
 The classified shape is f = lam*[.,.] + central shift part, where the
 shift part sends (L_m, L_n) to sum_k mu_k M_{m+n+k} and kills any argument
-from the Y or M families.  The same truncation discipline as the operator
-module applies: identity (1) re-brackets values against the first two
-arguments, identity (2) against the last two, so those are the coordinate
-anchors for row emission and defect projection.  As for derivations, the
-constraint rows are computed from the window's integer-position bracket
-table (``windows.BracketTable``), one lookup and integer column per term.
-The defect checker runs on integer positions as well: the window first,
-then every generator a tensor value reaches outside it, each with its
-doubled index.  Tensor coefficients are scaled by D, the lcm of their
-denominators, and bracket coefficients (half-integers) are doubled, so
-each defect is computed in integers as exactly 2D times the rational one.
+from the Y or M families.  Identity (1) is the Leibniz rule of every slice
+f(., z) and identity (2) that of every slice f(x, .), so the operator
+module's truncation discipline applies, anchored at the bracketed pair:
+the first two arguments for identity (1), the last two for identity (2).
+The defect checker evaluates both on the derivation checker's integer
+core (``windows.LeibnizCheck``).  The identity (2) rows are the derivation
+rows of each slice f(x, .); the identity (1) rows are read off the
+window's integer-position bracket table (``windows.BracketTable``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .algebra import (
@@ -41,8 +37,7 @@ from .linalg import (
     KernelComparison,
     SparseMatrix,
     SparseVec,
-    kernel_basis,
-    vec_add_scaled,
+    kernel_combinations,
     vec_bump,
 )
 from .operators import (
@@ -50,9 +45,10 @@ from .operators import (
     LinearOperator,
     builtin_derivation,
     decompose_derivation,
+    derivation_rows,
 )
 from .parsing import DomainError
-from .windows import OUTSIDE, BracketTable, DefectReport, Window
+from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window
 
 Pair = Tuple[GeneratorId, GeneratorId]
 
@@ -194,172 +190,43 @@ def realize(form: BiderivationForm, w: Window, cfg: AlgebraConfig) -> BilinearMa
     return BilinearMap(tensor, f"realize{form}")
 
 
-def _twice(x: Fraction) -> Optional[int]:
-    """2*x as an int, or None when x is not a half-integer."""
-    q, r = divmod(2 * x.numerator, x.denominator)
-    return None if r else q
-
-
 def biderivation_defects(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> DefectReport:
     """Both identities over closed window triples.
 
-    Identity (1) is checked for unordered first pairs (swapping x and y
-    negates it) and identity (2) for unordered last pairs; diagonal pairs
-    make each identity trivially zero and are skipped.  A triple is closed
-    when the bracketed argument pair is window-supported and both
-    re-bracketed values stay window-supported; the defect is compared on
-    the coordinates anchored to the re-bracketed arguments.
-
-    The loops run on integer positions: the window generators first, then
-    every other generator met in a value or as an in-window bracket, each
-    with its doubled index, so the window and anchor tests compare ints.
-    The tensor is a flat list of (position, D * coefficient) terms, D the
-    lcm of its coefficient denominators, and the brackets of each window
-    generator with every position are looked up once per call with doubled
-    coefficients.  Each term of either identity is linear in f and in the
-    bracket, so the integer defect is exactly 2D times the rational one; it
-    is divided back by 2D only for a recorded violation.  Raises ValueError
-    naming a value generator whose index is not a half-integer, or a
-    bracket whose coefficient is not; generators of SV(eps) never are.
+    Each identity is the Leibniz rule of a slice (``windows.LeibnizCheck``):
+    identity (1) that of D = f(., z) at the pair (x, y), identity (2) that
+    of D = f(x, .) at the pair (y, z).  It is checked for the unordered
+    bracketed pair, since swapping it negates the identity, and diagonal
+    pairs make it trivially zero.  A triple is closed when the bracketed
+    pair is window-supported and both re-bracketed values stay
+    window-supported; the defect is compared on the coordinates anchored
+    to the bracketed pair.  Raises KeyError when f is undefined on a window
+    pair, and ValueError as ``LeibnizCheck`` does.
     """
-    rep = DefectReport()
     gens = w.generators(cfg)
-    ten = f.tensor
-    for a in gens:
-        for b in gens:
-            if (a, b) not in ten:
-                raise KeyError(f"bilinear map {f.label or '?'} undefined on ({a}, {b})")
+    chk = LeibnizCheck(w, cfg, [f.value(a, b).terms for a in gens for b in gens])
+    rep = DefectReport()
     n = len(gens)
-    reach = 2 * w.radius
-    order: List[GeneratorId] = []
-    pos: Dict[GeneratorId, int] = {}
-    twice: List[int] = []
-
-    def position(g: GeneratorId) -> int:
-        p = pos.get(g)
-        if p is None:
-            d = _twice(g.index)
-            if d is None:
-                raise ValueError(f"generator {g}: index {g.index} is not a half-integer")
-            twice.append(d)
-            p = pos[g] = len(order)
-            order.append(g)
-        return p
-
-    for g in gens:
-        position(g)
-    values = [ten[(a, b)].terms for a in gens for b in gens]
-    scale = lcm(*{c.denominator for terms in values for c in terms.values()})
-    # flat[a * n + b]: the terms of f(a, b) as (position, D * coefficient)
-    flat = [
-        [(position(h), c.numerator * (scale // c.denominator)) for h, c in terms.items()]
-        for terms in values
-    ]
-
-    def doubled_bracket(x: int, y: int) -> Optional[Tuple[int, int]]:
-        terms = bracket_basis(order[x], order[y], cfg).terms
-        if not terms:
-            return None
-        ((t, c),) = terms.items()
-        dc = _twice(c)
-        if dc is None:
-            raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {c} is not a half-integer")
-        return (OUTSIDE if abs(twice[x] + twice[y]) > reach else position(t)), dc
-
-    # left[g * m + h] = [g, h] and right[g * m + h] = [h, g] = -[g, h] for
-    # window g and every position h met so far: None when zero, else (target
-    # position, or OUTSIDE when it leaves the window, doubled coefficient)
-    m = len(order)
-    left = [doubled_bracket(g, h) for g in range(n) for h in range(m)]
-    right = [None if e is None else (e[0], -e[1]) for e in left]
-
-    # For a monomial partner the products below never collide on an output
-    # position (the output family is injective in the other family), so a
-    # plain assignment per term is exact and the first out-of-window term
-    # already decides non-closedness.
-    def image(table: List[Optional[Tuple[int, int]]], base: int,
-              terms: List[Tuple[int, int]]) -> Optional[Dict[int, int]]:
-        out: Dict[int, int] = {}
-        for h, c in terms:
-            e = table[base + h]
-            if e is not None:
-                t, gamma = e
-                if t == OUTSIDE:
-                    return None
-                out[t] = c * gamma
-        return out
-
-    def settle(
-        inputs: Tuple[int, int, int],
-        acc: Dict[int, int],
-        r1: Dict[int, int],
-        r2: Dict[int, int],
-        a1: int,
-        a2: int,
-        rule: str,
-    ) -> None:
-        for part in (r1, r2):
-            for h, c in part.items():
-                nv = acc.get(h, 0) - c
-                if nv:
-                    acc[h] = nv
-                else:
-                    del acc[h]
-        if acc:
-            lo = max(twice[a1], twice[a2]) - reach
-            hi = min(twice[a1], twice[a2]) + reach
-            kept = {
-                h: c
-                for h, c in acc.items()
-                if -reach <= twice[h] <= reach and lo <= twice[h] <= hi
-            }
-            if kept:
-                defect = Element({order[h]: Fraction(c, 2 * scale) for h, c in kept.items()})
-                rep.record(tuple(gens[p] for p in inputs), defect, rule)
-
     closed = 0
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            br = left[p1 * m + p2]
-            if br is not None and br[0] == OUTSIDE:
-                continue
-            for p3 in range(n):
-                # (1): f([g1,g2], g3) - [g1, f(g2,g3)] - [f(g1,g3), g2]
-                r1 = image(left, p1 * m, flat[p2 * n + p3])
-                if r1 is None:
-                    continue
-                r2 = image(right, p2 * m, flat[p1 * n + p3])
-                if r2 is None:
-                    continue
+    for a, b, t, cb in chk.pairs:
+        for z in range(n):
+            # (1): f([a,b], z) - [f(a,z), b] - [a, f(b,z)]
+            d = chk.instance(a, b, cb, a * n + z, b * n + z, t * n + z)
+            if d is not None:
                 closed += 1
-                acc: Dict[int, int] = {}
-                if br is not None:
-                    b, cb = br
-                    for h, c in flat[b * n + p3]:
-                        acc[h] = cb * c
-                settle((p1, p2, p3), acc, r1, r2, p1, p2, "identity-1")
+                if d:
+                    rep.record((gens[a], gens[b], gens[z]), chk.element(d), "identity-1")
     rep.tick(closed)
     closed = 0
-    for p1 in range(n):
-        for p2 in range(n):
-            for p3 in range(p2 + 1, n):
-                br = left[p2 * m + p3]
-                if br is not None and br[0] == OUTSIDE:
-                    continue
-                # (2): f(g1, [g2,g3]) - [f(g1,g2), g3] - [g2, f(g1,g3)]
-                r1 = image(right, p3 * m, flat[p1 * n + p2])
-                if r1 is None:
-                    continue
-                r2 = image(left, p2 * m, flat[p1 * n + p3])
-                if r2 is None:
-                    continue
+    for x in range(n):
+        row = x * n
+        for a, b, t, cb in chk.pairs:
+            # (2): f(x, [a,b]) - [f(x,a), b] - [a, f(x,b)]
+            d = chk.instance(a, b, cb, row + a, row + b, row + t)
+            if d is not None:
                 closed += 1
-                acc = {}
-                if br is not None:
-                    b, cb = br
-                    for h, c in flat[p1 * n + b]:
-                        acc[h] = cb * c
-                settle((p1, p2, p3), acc, r1, r2, p2, p3, "identity-2")
+                if d:
+                    rep.record((gens[x], gens[a], gens[b]), chk.element(d), "identity-2")
     rep.tick(closed)
     return rep
 
@@ -452,26 +319,15 @@ def identity1_rows(coords: PairCoords, cfg: AlgebraConfig):
 
 
 def identity2_rows(coords: PairCoords, cfg: AlgebraConfig):
-    """Faithful rows of identity (2), anchored at the bracketed pair."""
-    table = BracketTable(coords.window, cfg)
-    n = coords.n
-    anchors = []
-    for p2 in range(n):
-        for p3 in range(p2 + 1, n):
-            br = table.product[p2 * n + p3]
-            if br is None or br[0] != OUTSIDE:
-                anchors.append((p2, p3, br, table.anchored_targets(p2, p3)))
-    for p1 in range(n):
-        for p2, p3, br, targets in anchors:
-            # f(g1, [g2,g3]) - [f(g1,g2), g3] - [g2, f(g1,g3)] at h
-            base12, base13 = (p1 * n + p2) * n, (p1 * n + p3) * n
-            for h in targets:
-                row: SparseVec = {} if br is None else {(p1 * n + br[0]) * n + h: br[1]}
-                for p, c in table.right[p3 * n + h]:
-                    vec_bump(row, base12 + p, -c)
-                for p, c in table.left[p2 * n + h]:
-                    vec_bump(row, base13 + p, -c)
-                yield row
+    """Faithful rows of identity (2), anchored at the bracketed pair: for
+    each g1 the derivation rows of the slice f(g1, .), whose operator
+    column (g, h) is the tensor column (g1, g, h)."""
+    rows = list(derivation_rows(BracketTable(coords.window, cfg)))
+    step = coords.n * coords.n
+    for p1 in range(coords.n):
+        shift = p1 * step
+        for row in rows:
+            yield {c + shift: x for c, x in row.items()}
 
 
 def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, PairCoords]:
@@ -526,24 +382,13 @@ def skew_kernel_members(bc: BiderivationClassification) -> List[SparseVec]:
         for col, c in v.items():
             g1, g2, h = coords.at(col)
             a, b = (g1, g2) if g1.sort_key() <= g2.sort_key() else (g2, g1)
-            row = rows.setdefault((a, b, h), {})
-            nv = row.get(i, Fraction(0)) + c
-            if nv:
-                row[i] = nv
-            else:
-                del row[i]
+            vec_bump(rows.setdefault((a, b, h), {}), i, c)
     m = SparseMatrix(len(basis))
     for key in sorted(
         rows, key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key())
     ):
         m.add_row(rows[key])
-    out: List[SparseVec] = []
-    for u in kernel_basis(m).vectors:
-        v: SparseVec = {}
-        for i, c in u.items():
-            vec_add_scaled(v, basis[i], c)
-        out.append(v)
-    return out
+    return kernel_combinations(m, basis)
 
 
 def match_form(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Optional[BiderivationForm]:

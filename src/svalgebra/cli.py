@@ -154,26 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _violations_json(rep: DefectReport) -> List[Dict[str, object]]:
-    out = []
-    for v in rep.violations[:SHOWN_VIOLATIONS]:
-        out.append(
-            {
-                "inputs": [str(g) for g in v.inputs],
-                "rule": v.rule,
-                "defect": format_element(v.defect),
-            }
-        )
-    return out
-
-
-def _report_lines(rep: DefectReport) -> List[str]:
-    lines = [rep.summary()]
-    for v in rep.violations[:SHOWN_VIOLATIONS]:
-        lines.append("  " + v.describe())
-    return lines
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -190,30 +170,32 @@ def _cmd_bracket(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outco
     return 0, {"verdict": "ok", "result": result}, [result]
 
 
-def _cmd_jacobi(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    rep = lie_axiom_defects(w, cfg)
-    verdict = "holds" if rep.empty else "fails"
+def _defect_outcome(rep: DefectReport, ok: str, bad: str, head: str = "") -> Outcome:
+    """Verdict ok when rep is empty, else bad, with the first violations;
+    the text output leads with head + verdict, then the report summary."""
+    verdict = ok if rep.empty else bad
+    shown = rep.violations[:SHOWN_VIOLATIONS]
     payload: Payload = {
         "verdict": verdict,
         "checked": rep.checked,
         "defects": rep.total,
-        "violations": _violations_json(rep),
+        "violations": [
+            {"inputs": [str(g) for g in v.inputs], "rule": v.rule, "defect": format_element(v.defect)}
+            for v in shown
+        ],
     }
-    return (0 if rep.empty else 1), payload, [f"lie axioms: {verdict}"] + _report_lines(rep)
+    lines = [head + verdict, rep.summary()] + ["  " + v.describe() for v in shown]
+    return (0 if rep.empty else 1), payload, lines
+
+
+def _cmd_jacobi(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
+    return _defect_outcome(lie_axiom_defects(w, cfg), "holds", "fails", head="lie axioms: ")
 
 
 def _cmd_check_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
     action = parse_operator_lines(_read(ns.file), cfg)
     op = operator_from_action(action, w, cfg, label=ns.file)
-    rep = derivation_defect(op, w, cfg)
-    verdict = "derivation" if rep.empty else "defect-found"
-    payload: Payload = {
-        "verdict": verdict,
-        "checked": rep.checked,
-        "defects": rep.total,
-        "violations": _violations_json(rep),
-    }
-    return (0 if rep.empty else 1), payload, [verdict] + _report_lines(rep)
+    return _defect_outcome(derivation_defect(op, w, cfg), "derivation", "defect-found")
 
 
 def _classification_outcome(dc: KernelComparison, extra: Payload) -> Outcome:
@@ -271,15 +253,7 @@ def _cmd_decompose_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Win
 def _cmd_check_biderivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
     tensor = parse_tensor_lines(_read(ns.file), cfg)
     f = bilinear_map_on_window(tensor, w, cfg, label=ns.file)
-    rep = biderivation_defects(f, w, cfg)
-    verdict = "biderivation" if rep.empty else "defect-found"
-    payload: Payload = {
-        "verdict": verdict,
-        "checked": rep.checked,
-        "defects": rep.total,
-        "violations": _violations_json(rep),
-    }
-    return (0 if rep.empty else 1), payload, [verdict] + _report_lines(rep)
+    return _defect_outcome(biderivation_defects(f, w, cfg), "biderivation", "defect-found")
 
 
 def _cmd_solve_biderivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:

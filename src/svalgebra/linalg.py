@@ -94,6 +94,25 @@ class SparseMatrix:
         return out
 
 
+def _reduce(v: SparseVec, by_lead: Dict[int, SparseVec]) -> SparseVec:
+    """Residual of v modulo a reduced echelon basis keyed by leading column.
+
+    Every pivot-column entry must be cleared, not just leading ones: a row
+    can hit pivot columns beyond its first free column.  Each subtraction
+    only introduces entries at free columns, so one pass over the hits
+    (rechecked once) settles the residual.
+    """
+    work = dict(v)
+    while True:
+        hits = sorted(c for c in work if c in by_lead)
+        if not hits:
+            return work
+        for c in hits:
+            cur = work.get(c)
+            if cur:
+                vec_add_scaled(work, by_lead[c], -cur)
+
+
 class _Rref:
     """Incrementally maintained reduced row echelon form of a row space."""
 
@@ -114,7 +133,7 @@ class _Rref:
 
     def insert(self, row: SparseVec) -> Optional[int]:
         """Reduce a row into the form; returns the new pivot column or None."""
-        work = self.reduce(row)
+        work = _reduce(row, self.pivots)
         if not work:
             return None
         c = min(work)
@@ -129,24 +148,6 @@ class _Rref:
             self._register(lead, old)
         self._register(c, work)
         return c
-
-    def reduce(self, v: SparseVec) -> SparseVec:
-        """Residual of v modulo the current row space.
-
-        Every pivot-column entry must be cleared, not just leading ones:
-        a row can hit pivot columns beyond its first free column.  Each
-        subtraction only introduces entries at free columns, so one pass
-        over the hits (rechecked once) settles the residual.
-        """
-        work = dict(v)
-        while True:
-            hits = sorted(c for c in work if c in self.pivots)
-            if not hits:
-                return work
-            for c in hits:
-                cur = work.get(c)
-                if cur:
-                    vec_add_scaled(work, self.pivots[c], -cur)
 
     def sorted_rows(self) -> List[SparseVec]:
         return [dict(self.pivots[c]) for c in sorted(self.pivots)]
@@ -168,23 +169,18 @@ class SpanBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
+    def _by_lead(self) -> Dict[int, SparseVec]:
+        return {min(row): row for row in self.vectors}
+
     def reduce(self, v: SparseVec) -> SparseVec:
-        work = dict(v)
-        by_lead = {min(row): row for row in self.vectors}
-        while True:
-            hits = sorted(c for c in work if c in by_lead)
-            if not hits:
-                return work
-            for c in hits:
-                cur = work.get(c)
-                if cur:
-                    vec_add_scaled(work, by_lead[c], -cur)
+        return _reduce(v, self._by_lead())
 
     def contains(self, v: SparseVec) -> bool:
         return not self.reduce(v)
 
     def contains_all(self, vs: Iterable[SparseVec]) -> bool:
-        return all(self.contains(v) for v in vs)
+        by_lead = self._by_lead()
+        return all(not _reduce(v, by_lead) for v in vs)
 
 
 def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
@@ -260,6 +256,18 @@ def kernel_basis(m: SparseMatrix) -> SpanBasis:
             v[lead] = -pivots[lead][f]
         kernel_vecs.append(v)
     return span_basis(kernel_vecs, m.col_count)
+
+
+def kernel_combinations(m: SparseMatrix, vectors: Sequence[SparseVec]) -> List[SparseVec]:
+    """sum_i c_i * vectors[i] for each vector c of the kernel basis of m,
+    whose columns index the vectors."""
+    out: List[SparseVec] = []
+    for c in kernel_basis(m).vectors:
+        v: SparseVec = {}
+        for i, x in c.items():
+            vec_add_scaled(v, vectors[i], x)
+        out.append(v)
+    return out
 
 
 def solve_linear(m: SparseMatrix, rhs: Sequence[Fraction]) -> Optional[SparseVec]:

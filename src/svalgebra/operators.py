@@ -4,11 +4,14 @@ A derivation is a linear map with op([x,y]) = [op(x),y] + [x,op(y)].  On a
 finite window four things live here:
 
   * the three outer derivations (D1, D2, D3) and inner derivations ad x,
-  * a defect checker for the Leibniz identity over window pairs,
+  * a defect checker for the Leibniz identity over window pairs, on the
+    integer core (``windows.LeibnizCheck``) the biderivation checker
+    shares,
   * the exact constraint system whose kernel is the space of all window
     operators satisfying every truncation-faithful Leibniz constraint,
     compared (``linalg.KernelComparison``) against the span of the known
-    derivations,
+    derivations; its rows (``derivation_rows``) also give the identity (2)
+    rows of every biderivation slice,
   * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3.
 
 Truncation discipline: a constraint row is emitted for a pair (g1, g2) and
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Set, Tuple
 
 from .algebra import (
     ZERO,
@@ -46,7 +49,7 @@ from .linalg import (
     vec_bump,
 )
 from .parsing import DomainError
-from .windows import OUTSIDE, BracketTable, DefectReport, Window
+from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window
 
 M0 = gen("M", 0)
 
@@ -137,45 +140,25 @@ def inner_derivation(x: Element, w: Window, cfg: AlgebraConfig) -> LinearOperato
     )
 
 
-def _faithful(e: Element, w: Window, *anchors: GeneratorId) -> Element:
-    """Drop coordinates the window cannot vouch for.
-
-    Keeps h with |h| <= N and |h - a| <= N for each anchor argument a; at
-    such coordinates the identity involves no out-of-window generators.
-    """
-    n = w.radius
-    kept = {
-        h: c
-        for h, c in e.terms.items()
-        if abs(h.index) <= n and all(abs(h.index - a.index) <= n for a in anchors)
-    }
-    return Element(kept)
-
-
 def derivation_defect(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> DefectReport:
-    """Leibniz identity check over closed window pairs.
+    """Leibniz identity check over closed window pairs (``windows.LeibnizCheck``).
 
     A pair is closed when [g1,g2] is window-supported (so op applies) and
     both re-bracketed images stay window-supported.  Defects are compared
     on faithful coordinates only; mirrored pairs are skipped since the
-    identity at (g2,g1) is the negative of the one at (g1,g2).
+    identity at (g2,g1) is the negative of the one at (g1,g2).  Raises
+    KeyError when op is undefined on a window generator, and ValueError as
+    ``LeibnizCheck`` does.
     """
-    rep = DefectReport()
     gens = w.generators(cfg)
-    for i, g1 in enumerate(gens):
-        e1 = Element.monomial(g1)
-        for g2 in gens[i + 1:]:
-            br = bracket_basis(g1, g2, cfg)
-            if not w.contains_element(br):
-                continue
-            r1 = bracket(op.apply_basis(g1), Element.monomial(g2), cfg)
-            r2 = bracket(e1, op.apply_basis(g2), cfg)
-            if not (w.contains_element(r1) and w.contains_element(r2)):
-                continue
+    chk = LeibnizCheck(w, cfg, [op.apply_basis(g).terms for g in gens])
+    rep = DefectReport()
+    for a, b, t, cb in chk.pairs:
+        d = chk.instance(a, b, cb, a, b, t)
+        if d is not None:
             rep.tick()
-            defect = _faithful(op.apply(br) - r1 - r2, w, g1, g2)
-            if not defect.is_zero:
-                rep.record((g1, g2), defect, "leibniz")
+            if d:
+                rep.record((gens[a], gens[b]), chk.element(d), "leibniz")
     return rep
 
 
@@ -234,16 +217,11 @@ class OperatorCoords:
         return cols
 
 
-def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, OperatorCoords]:
-    """The exact linear system cutting out all window derivations.
-
-    One row per (unordered pair, faithful output coordinate); see the
-    module docstring for the emission rule.
-    """
-    coords = OperatorCoords(w, cfg)
-    table = BracketTable(w, cfg)
-    m = SparseMatrix(coords.col_count)
-    n = coords.n
+def derivation_rows(table: BracketTable) -> Iterator[SparseVec]:
+    """One row per (unordered pair, faithful output coordinate), on the
+    ``OperatorCoords`` columns of the table's window; see the module
+    docstring for the emission rule."""
+    n = table.n
     for p1 in range(n):
         for p2 in range(p1 + 1, n):
             br = table.product[p1 * n + p2]
@@ -256,7 +234,15 @@ def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseM
                     vec_bump(row, p1 * n + p, -c)
                 for p, c in table.left[p1 * n + h]:
                     vec_bump(row, p2 * n + p, -c)
-                m.add_row(row)
+                yield row
+
+
+def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, OperatorCoords]:
+    """The exact linear system cutting out all window derivations."""
+    coords = OperatorCoords(w, cfg)
+    m = SparseMatrix(coords.col_count)
+    for row in derivation_rows(BracketTable(w, cfg)):
+        m.add_row(row)
     return m, coords
 
 

@@ -59,7 +59,7 @@ from .biderivations import (
     identity2_rows,
     realize,
 )
-from .linalg import SparseMatrix, SparseVec, kernel_basis, project_columns, span_basis, vec_add_scaled
+from .linalg import SparseMatrix, SparseVec, kernel_basis, kernel_combinations, project_columns, span_basis
 from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
@@ -504,11 +504,4 @@ def _trim_basis(vectors: Sequence[SparseVec], forced: Set[int]) -> List[SparseVe
     reduced = SparseMatrix(len(vectors))
     for c in sorted(col_index):
         reduced.add_row(dict(col_index[c]))
-    combos = kernel_basis(reduced)
-    out: List[SparseVec] = []
-    for combo in combos.vectors:
-        u: SparseVec = {}
-        for i, coef in combo.items():
-            vec_add_scaled(u, vectors[i], coef)
-        out.append(u)
-    return out
+    return kernel_combinations(reduced, vectors)

@@ -1,4 +1,5 @@
-"""Finite index windows and structured defect reports.
+"""Finite index windows, their bracket tables on integer positions, the
+Leibniz rule the derivation and biderivation checkers share, and defect reports.
 
 All solvers and checkers work on the finite slice of the algebra spanned by
 generators whose index has absolute value at most a radius N.  The interior
@@ -9,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, gen, jacobi_defect
 
@@ -53,12 +55,7 @@ class Window:
         return gens
 
     def interior_generators(self, cfg: AlgebraConfig) -> List[GeneratorId]:
-        gens: List[GeneratorId] = []
-        r = self.interior_radius
-        for fam in ("L", "Y", "M"):
-            for i in self.indices(cfg, fam, r):
-                gens.append(gen(fam, i))
-        return gens
+        return [g for g in self.generators(cfg) if self.is_interior(g)]
 
     def contains_index(self, i: Fraction) -> bool:
         return abs(i) <= self.radius
@@ -116,6 +113,138 @@ class BracketTable:
         lo = max(d[a], d[b]) - 2 * self.radius
         hi = min(d[a], d[b]) + 2 * self.radius
         return [h for h in range(self.n) if lo <= d[h] <= hi]
+
+
+def _twice(x: Fraction) -> Optional[int]:
+    """2*x as an int, or None when x is not a half-integer."""
+    q, r = divmod(2 * x.numerator, x.denominator)
+    return None if r else q
+
+
+class LeibnizCheck:
+    """The Leibniz rule D([a,b]) - [D(a), b] - [a, D(b)] on integer positions.
+
+    ``values`` lists every image the checked map D can take, as term dicts;
+    an instance names the values that are D(a), D(b) and D([a,b]).  A
+    derivation has one value per window generator.  A bilinear map is a
+    biderivation exactly when every slice f(., z) and f(x, .) is a
+    derivation (M. Bresar and K. Zhao, J. Lie Theory 28, 2018), so both of
+    its identities are instances over its n*n values.
+
+    Positions are the window generators first, then every other generator
+    met in a value or as an in-window bracket, each with its doubled index.
+    Values are (position, s * coefficient) terms, s the lcm of all their
+    denominators, and brackets carry doubled coefficients, so a defect is
+    computed in integers as exactly 2s times the rational one.  Raises
+    ValueError naming a value generator whose index is not a half-integer,
+    or a bracket whose coefficient is not; generators of SV(eps) never are.
+
+    ``pairs`` lists the window pairs a < b whose bracket stays in the
+    window, ascending, as (a, b, target position, doubled coefficient),
+    with coefficient and target 0 when the bracket vanishes.  The rule at
+    (b, a) is the negative of the one at (a, b), and zero at (a, a).
+    """
+
+    def __init__(self, w: Window, cfg: AlgebraConfig, values: Sequence[Mapping[GeneratorId, Fraction]]):
+        gens = w.generators(cfg)
+        n = len(gens)
+        reach = 2 * w.radius
+        order: List[GeneratorId] = []
+        pos: Dict[GeneratorId, int] = {}
+        twice: List[int] = []
+
+        def position(g: GeneratorId) -> int:
+            p = pos.get(g)
+            if p is None:
+                d = _twice(g.index)
+                if d is None:
+                    raise ValueError(f"generator {g}: index {g.index} is not a half-integer")
+                twice.append(d)
+                p = pos[g] = len(order)
+                order.append(g)
+            return p
+
+        for g in gens:
+            position(g)
+        scale = lcm(*{c.denominator for terms in values for c in terms.values()})
+        self.flat = [
+            [(position(h), c.numerator * (scale // c.denominator)) for h, c in terms.items()]
+            for terms in values
+        ]
+
+        def doubled_bracket(x: int, y: int) -> Optional[Tuple[int, int]]:
+            terms = bracket_basis(order[x], order[y], cfg).terms
+            if not terms:
+                return None
+            ((t, c),) = terms.items()
+            dc = _twice(c)
+            if dc is None:
+                raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {c} is not a half-integer")
+            return (OUTSIDE if abs(twice[x] + twice[y]) > reach else position(t)), dc
+
+        # table[g * m + h] = [g, h] for window g and every value position h:
+        # None when zero, else (target position, or OUTSIDE when it leaves
+        # the window, doubled coefficient)
+        m = self.m = len(order)
+        table = self.table = [doubled_bracket(g, h) for g in range(n) for h in range(m)]
+        self.pairs: List[Tuple[int, int, int, int]] = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                e = table[a * m + b]
+                if e is None or e[0] != OUTSIDE:
+                    self.pairs.append((a, b) + (e or (0, 0)))
+        self.order, self.twice, self.reach, self.scale = order, twice, reach, scale
+
+    def instance(self, a: int, b: int, cb: int, da: int, db: int, dt: int) -> Optional[Dict[int, int]]:
+        """2s * (D([a,b]) - [D(a), b] - [a, D(b)]) for the entry (a, b, _, cb)
+        of ``pairs``, D(a), D(b) and D([a,b]) being the values da, db, dt.
+
+        None when a re-bracketed value leaves the window (the instance is
+        not closed); else the defect as {position: int} on the coordinates
+        h with |h| <= N and |h - a|, |h - b| <= N, empty when the rule holds.
+        """
+        flat, table, m = self.flat, self.table, self.m
+        # Against a monomial the products of distinct terms never collide
+        # (the output family is injective in the other family), so the
+        # first out-of-window term decides non-closedness.
+        acc: Dict[int, int] = {}
+        base = b * m
+        for h, c in flat[da]:  # -[D(a), b] = [b, D(a)]
+            e = table[base + h]
+            if e is not None:
+                if e[0] == OUTSIDE:
+                    return None
+                acc[e[0]] = c * e[1]
+        base = a * m
+        for h, c in flat[db]:  # -[a, D(b)]
+            e = table[base + h]
+            if e is not None:
+                t = e[0]
+                if t == OUTSIDE:
+                    return None
+                nv = acc.get(t, 0) - c * e[1]
+                if nv:
+                    acc[t] = nv
+                else:
+                    del acc[t]
+        if cb:
+            for h, c in flat[dt]:
+                nv = acc.get(h, 0) + cb * c
+                if nv:
+                    acc[h] = nv
+                else:
+                    del acc[h]
+        if not acc:
+            return acc
+        twice, reach = self.twice, self.reach
+        lo = max(twice[a], twice[b], 0) - reach
+        hi = min(twice[a], twice[b], 0) + reach
+        return {h: c for h, c in acc.items() if lo <= twice[h] <= hi}
+
+    def element(self, defect: Dict[int, int]) -> Element:
+        """The rational element of an integer defect from ``instance``."""
+        den = 2 * self.scale
+        return Element({self.order[h]: Fraction(c, den) for h, c in defect.items()})
 
 
 @dataclass(frozen=True)

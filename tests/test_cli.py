@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from svalgebra import AlgebraConfig, Element, Window, bilinear_map_on_window, builtin_derivation, gen, realize
-from svalgebra import BiderivationForm
+from svalgebra import BiderivationForm, inner_derivation, operator_from_action
 from svalgebra.algebra import format_element
 from svalgebra.cli import SHOWN_VIOLATIONS, console_main, main
-from svalgebra.parsing import format_operator_lines, format_tensor_lines, parse_tensor_lines
-from test_defects import _reference_biderivation_defects
+from svalgebra.parsing import format_operator_lines, format_tensor_lines, parse_operator_lines, parse_tensor_lines
+from test_defects import _reference_biderivation_defects, _reference_derivation_defect
 
 CFG0 = AlgebraConfig(Fraction(0))
 
@@ -140,6 +140,32 @@ class TestOperatorFiles:
         code, payload = run_json(capsys, "decompose-derivation", path, "-N", "3", "--json")
         assert code == 1
         assert payload["verdict"] == "not-decomposable"
+
+    @pytest.mark.parametrize("epsilon", ["0", "1/2"])
+    def test_perturbed_operator_report_equals_reference(self, capsys, tmp_path, epsilon):
+        cfg, w = AlgebraConfig(Fraction(epsilon)), Window(4)
+        x = Element({gen("L", 1): Fraction(-5, 3), gen("M", -2): 2})
+        op = inner_derivation(x, w, cfg) + builtin_derivation("D2", w, cfg).scaled(Fraction(1, 7))
+        a, h = w.interior_generators(cfg)[1:3]
+        op.action[a] = op.action[a] + Element({h: Fraction(3, 4)})
+        text = format_operator_lines({g: v for g, v in op.action.items() if not v.is_zero})
+        path = self._write(tmp_path, "bumped.op", text)
+        parsed = operator_from_action(parse_operator_lines(text, cfg), w, cfg)
+        ref = _reference_derivation_defect(parsed, w, cfg)
+        assert ref.total > 0
+        shown = ref.violations[:SHOWN_VIOLATIONS]
+        argv = ["check-derivation", path, "-N", "4", "--epsilon", epsilon]
+        code, payload = run_json(capsys, *argv, "--json")
+        assert code == 1
+        assert (payload["checked"], payload["defects"]) == (ref.checked, ref.total)
+        assert payload["violations"] == [
+            {"inputs": [str(g) for g in v.inputs], "rule": v.rule, "defect": format_element(v.defect)}
+            for v in shown
+        ]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        lines = ["defect-found", ref.summary()] + ["  " + v.describe() for v in shown]
+        assert out == "\n".join(lines) + "\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "check-derivation", str(tmp_path / "absent.txt"))

@@ -1,11 +1,13 @@
-"""The biderivation defect checker against the direct rule.
+"""The derivation and biderivation defect checkers against the direct rule.
 
-``_reference_biderivation_defects`` is the checker as it was before it moved
-onto integer positions: every step probes ``GeneratorId`` dicts, tests
-windows with ``abs`` on ``Fraction`` indices and multiplies ``Fraction``
-coefficients.  The library checker must return the same report: the same
-``checked`` and ``total``, and the same violations (inputs, defect, rule)
-in the same order, up to the same recording cap.
+``_reference_derivation_defect`` and ``_reference_biderivation_defects``
+are the checkers as they were before they moved onto integer positions:
+every step probes ``GeneratorId`` dicts, tests windows with ``abs`` on
+``Fraction`` indices and multiplies ``Fraction`` coefficients (the
+derivation one in ``Element`` arithmetic).  The library checkers must
+return the same report: the same ``checked`` and ``total``, and the same
+violations (inputs, defect, rule) in the same order, up to the same
+recording cap.
 """
 
 from fractions import Fraction
@@ -22,8 +24,13 @@ from svalgebra import (
     Window,
     biderivation_defects,
     bilinear_map_on_window,
+    bracket,
     bracket_basis,
+    builtin_derivation,
+    derivation_defect,
     gen,
+    inner_derivation,
+    operator_from_action,
     realize,
     representable_shifts,
 )
@@ -32,6 +39,38 @@ from svalgebra.biderivations import Pair
 from svalgebra.windows import DefectReport
 
 PARITIES = (Fraction(0), Fraction(1, 2))
+
+
+def _faithful(e, w, *anchors):
+    """Drop coordinates the window cannot vouch for: keep h with |h| <= N
+    and |h - a| <= N for each anchor argument a."""
+    n = w.radius
+    kept = {
+        h: c
+        for h, c in e.terms.items()
+        if abs(h.index) <= n and all(abs(h.index - a.index) <= n for a in anchors)
+    }
+    return Element(kept)
+
+
+def _reference_derivation_defect(op, w, cfg):
+    rep = DefectReport()
+    gens = w.generators(cfg)
+    for i, g1 in enumerate(gens):
+        e1 = Element.monomial(g1)
+        for g2 in gens[i + 1:]:
+            br = bracket_basis(g1, g2, cfg)
+            if not w.contains_element(br):
+                continue
+            r1 = bracket(op.apply_basis(g1), Element.monomial(g2), cfg)
+            r2 = bracket(e1, op.apply_basis(g2), cfg)
+            if not (w.contains_element(r1) and w.contains_element(r2)):
+                continue
+            rep.tick()
+            defect = _faithful(op.apply(br) - r1 - r2, w, g1, g2)
+            if not defect.is_zero:
+                rep.record((g1, g2), defect, "leibniz")
+    return rep
 
 
 def _reference_biderivation_defects(f, w, cfg):
@@ -157,6 +196,15 @@ def assert_same_report(f, w, cfg):
     return got
 
 
+def assert_same_derivation_report(op, w, cfg):
+    want = _reference_derivation_defect(op, w, cfg)
+    got = derivation_defect(op, w, cfg)
+    assert got.checked == want.checked
+    assert got.total == want.total
+    assert got.violations == want.violations
+    return got
+
+
 def _lattice_index(family, i, cfg):
     return Fraction(i) + (cfg.epsilon if family == "Y" else 0)
 
@@ -215,6 +263,31 @@ def sparse_partial(draw):
     return bilinear_map_on_window(mapping, w, cfg, label="sparse"), w, cfg
 
 
+@st.composite
+def perturbed_derivations(draw):
+    """A scaled outer derivation or an inner one (its images reach past the
+    window at the boundary) with 0-4 images bumped by terms reaching
+    |index| <= 2N+3."""
+    w = Window(draw(st.sampled_from([3, 4])))
+    cfg = AlgebraConfig(draw(st.sampled_from(PARITIES)))
+    if draw(st.booleans()):
+        op = builtin_derivation(draw(st.sampled_from(["D1", "D2", "D3"])), w, cfg)
+        op = op.scaled(draw(_coefficients))
+    else:
+        op = inner_derivation(draw(elements(cfg, w.radius)), w, cfg)
+    gens = w.generators(cfg)
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(st.sampled_from(gens))
+        op.action[g] = op.action[g] + draw(elements(cfg, 2 * w.radius + 3))
+    return op, w, cfg
+
+
+@given(perturbed_derivations())
+@settings(max_examples=60, deadline=None)
+def test_perturbed_derivations(case):
+    assert_same_derivation_report(*case)
+
+
 @given(realized_perturbed())
 @settings(max_examples=40, deadline=None)
 def test_realized_forms_with_perturbed_entries(case):
@@ -271,3 +344,44 @@ def test_bracket_coefficient_that_is_not_a_half_integer_is_refused():
     f = bilinear_map_on_window({(gen("L", 1), gen("L", 2)): Element({odd: 1})}, w, cfg)
     with pytest.raises(ValueError, match=r"L\[1/2\]\]: coefficient"):
         biderivation_defects(f, w, cfg)
+
+
+@pytest.mark.parametrize("epsilon", PARITIES)
+def test_images_at_the_window_ends_reaching_past_them(epsilon):
+    # D2 with each end image bumped just past the window: closed pairs then
+    # meet the bumps only off the faithful coordinates, so nothing is found
+    cfg, w = AlgebraConfig(epsilon), Window(3)
+    op = builtin_derivation("D2", w, cfg)
+    past = {3: gen("M", 4), -3: gen("M", -4)}
+    for g in w.generators(cfg):
+        if g.index in past:
+            op.action[g] = op.action[g] + Element({past[g.index]: Fraction(1, 7)})
+    assert assert_same_derivation_report(op, w, cfg).empty
+
+
+def test_derivation_recording_cap():
+    cfg, w = AlgebraConfig(Fraction(0)), Window(4)
+    third = Element({gen("L", 0): Fraction(1, 3)})
+    op = operator_from_action({g: third for g in w.generators(cfg)}, w, cfg)
+    rep = assert_same_derivation_report(op, w, cfg)
+    assert rep.total > rep.max_recorded == len(rep.violations) == 100
+
+
+def test_operator_missing_a_generator_raises_the_same_key_error():
+    cfg, w = AlgebraConfig(Fraction(1, 2)), Window(3)
+    op = builtin_derivation("D3", w, cfg)
+    del op.action[gen("Y", Fraction(1, 2))]
+    with pytest.raises(KeyError) as want:
+        _reference_derivation_defect(op, w, cfg)
+    with pytest.raises(KeyError) as got:
+        derivation_defect(op, w, cfg)
+    assert str(got.value) == str(want.value)
+    assert "D3 undefined on Y[1/2]" in str(got.value)
+
+
+def test_operator_image_index_that_is_not_a_half_integer_is_refused():
+    cfg, w = AlgebraConfig(Fraction(0)), Window(3)
+    bad = GeneratorId("M", Fraction(1, 3))
+    op = operator_from_action({gen("L", 1): Element({bad: 1})}, w, cfg)
+    with pytest.raises(ValueError, match=r"M\[1/3\]"):
+        derivation_defect(op, w, cfg)
