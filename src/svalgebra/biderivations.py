@@ -8,10 +8,14 @@ A biderivation satisfies two identities on all inputs:
 
 The classified shape is f = lam*[.,.] + central shift part, where the
 shift part sends (L_m, L_n) to sum_k mu_k M_{m+n+k} and kills any argument
-from the Y or M families.  Identity (1) is the Leibniz rule of every slice
-f(., z) and identity (2) that of every slice f(x, .), so the operator
-module's truncation discipline applies, anchored at the bracketed pair:
-the first two arguments for identity (1), the last two for identity (2).
+from the Y or M families.  ``BiderivationForm.value`` is its one closed
+form: ``realize`` and ``chi_omega`` tabulate it on a window, while
+``match_form`` and the post-Lie replay read single values from it.
+
+Identity (1) is the Leibniz rule of every slice f(., z) and identity (2)
+that of every slice f(x, .), so the operator module's truncation
+discipline applies, anchored at the bracketed pair: the first two
+arguments for identity (1), the last two for identity (2).
 The defect checker evaluates both on the derivation checker's integer
 core (``windows.LeibnizCheck``).  The identity (2) rows are the derivation
 rows of each slice f(x, .); the identity (1) rows are read off the
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .algebra import (
     ZERO,
@@ -41,11 +45,11 @@ from .linalg import (
     vec_bump,
 )
 from .operators import (
-    DecompositionError,
+    OUTER_DERIVATIONS,
     LinearOperator,
-    builtin_derivation,
     decompose_derivation,
     derivation_rows,
+    outer_image,
 )
 from .parsing import DomainError
 from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window
@@ -111,6 +115,14 @@ class BiderivationForm:
     def is_trivial(self) -> bool:
         return not self.lam and self.omega.is_empty
 
+    def value(self, g1: GeneratorId, g2: GeneratorId, cfg: AlgebraConfig) -> Element:
+        """lam*[g1, g2], plus sum_k mu_k M_{m+n+k} when (g1, g2) = (L_m, L_n)."""
+        tail = ZERO
+        if g1.family == "L" and g2.family == "L":
+            s = g1.index + g2.index
+            tail = Element({gen("M", s + k): v for k, v in self.omega.items()})
+        return bracket_basis(g1, g2, cfg).scaled(self.lam) + tail
+
     def __str__(self) -> str:
         return f"(lam={self.lam}, omega={self.omega})"
 
@@ -130,13 +142,6 @@ class BilinearMap:
         if v is None:
             raise KeyError(f"bilinear map {self.label or '?'} undefined on ({g1}, {g2})")
         return v
-
-    def apply(self, x: Element, y: Element) -> Element:
-        out = ZERO
-        for g1, c1 in x.terms.items():
-            for g2, c2 in y.terms.items():
-                out = out + self.value(g1, g2).scaled(c1 * c2)
-        return out
 
     def is_symmetric(self) -> bool:
         return all(v == self.tensor[(b, a)] for (a, b), v in self.tensor.items())
@@ -165,29 +170,16 @@ def bilinear_map_on_window(
 
 
 def chi_omega(omega: OmegaSet, w: Window, cfg: AlgebraConfig) -> BilinearMap:
-    """The symmetric central-shift map: (L_m, L_n) -> sum_k mu_k M_{m+n+k},
-    zero whenever either argument is from the Y or M families."""
-    tensor: Dict[Pair, Element] = {}
-    gens = w.generators(cfg)
-    for g1 in gens:
-        for g2 in gens:
-            if g1.family == "L" and g2.family == "L":
-                s = g1.index + g2.index
-                tensor[(g1, g2)] = Element(
-                    {gen("M", s + k): v for k, v in omega.items()}
-                )
-            else:
-                tensor[(g1, g2)] = ZERO
-    return BilinearMap(tensor, f"chi({omega})")
+    """The symmetric central-shift map: the realized form (0, omega)."""
+    return BilinearMap(realize(BiderivationForm(0, omega), w, cfg).tensor, f"chi({omega})")
 
 
 def realize(form: BiderivationForm, w: Window, cfg: AlgebraConfig) -> BilinearMap:
     """Materialize lam*[.,.] + shift part on the window."""
-    chi = chi_omega(form.omega, w, cfg)
-    tensor: Dict[Pair, Element] = {}
-    for (g1, g2), tail in chi.tensor.items():
-        tensor[(g1, g2)] = bracket_basis(g1, g2, cfg).scaled(form.lam) + tail
-    return BilinearMap(tensor, f"realize{form}")
+    gens = w.generators(cfg)
+    return BilinearMap(
+        {(g1, g2): form.value(g1, g2, cfg) for g1 in gens for g2 in gens}, f"realize{form}"
+    )
 
 
 def biderivation_defects(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> DefectReport:
@@ -394,24 +386,17 @@ def skew_kernel_members(bc: BiderivationClassification) -> List[SparseVec]:
 def match_form(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Optional[BiderivationForm]:
     """Fit f = lam*[.,.] + shift part on the interior, or report no match.
 
-    lam comes from the first interior (L_m, L_n) pair with m != n; the
-    mu_k come from the M coefficients of the residual on interior L pairs,
-    cross-checked for consistency; finally f must equal the realized form
-    on every ordered interior pair.  Returns None on any mismatch.
+    lam comes from the two lowest interior L generators; the mu_k come
+    from the M coefficients of the residual on interior L pairs; finally
+    f must equal ``form.value`` on every ordered interior pair, which also
+    rejects a residual term outside the M family and a shift read with two
+    coefficients.  Returns None on any mismatch.
     """
     interior = w.interior_generators(cfg)
     l_gens = [g for g in interior if g.family == "L"]
-    first = None
-    for g1 in l_gens:
-        for g2 in l_gens:
-            if g1.index != g2.index:
-                first = (g1, g2)
-                break
-        if first:
-            break
-    if first is None:
+    if len(l_gens) < 2:
         return None
-    g1, g2 = first
+    g1, g2 = l_gens[:2]
     lam = f.value(g1, g2).coefficient(gen("L", g1.index + g2.index)) / (
         g1.index - g2.index
     )
@@ -420,20 +405,14 @@ def match_form(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Optional[Bideri
         for b in l_gens:
             residual = f.value(a, b) - bracket_basis(a, b, cfg).scaled(lam)
             for h, c in residual.terms.items():
-                if h.family != "M":
+                k = h.index - a.index - b.index
+                if k.denominator != 1:
                     return None
-                k_frac = h.index - a.index - b.index
-                if k_frac.denominator != 1:
-                    return None
-                k = int(k_frac)
-                if k in mu and mu[k] != c:
-                    return None
-                mu[k] = c
+                mu[int(k)] = c
     form = BiderivationForm(lam, OmegaSet(mu))
-    model = realize(form, w, cfg)
     for a in interior:
         for b in interior:
-            if f.value(a, b) != model.value(a, b):
+            if f.value(a, b) != form.value(a, b, cfg):
                 return None
     return form
 
@@ -457,10 +436,8 @@ class BiderivationDecomposition:
     def reassemble(self, x: GeneratorId, y: GeneratorId, w: Window, cfg: AlgebraConfig) -> Element:
         """rho1(x)D1(y) + rho2(x)D2(y) + rho3(x)D3(y) + [phi(x), y]."""
         out = bracket(self.phi.apply_basis(x), Element.monomial(y), cfg)
-        for i, d in enumerate(("D1", "D2", "D3")):
-            c = self.rho[i].get(x, Fraction(0))
-            if c:
-                out = out + builtin_derivation(d, w, cfg).apply_basis(y).scaled(c)
+        for i, d in enumerate(OUTER_DERIVATIONS):
+            out = out + outer_image(d, y).scaled(self.rho[i].get(x, Fraction(0)))
         return out
 
 

@@ -25,7 +25,7 @@ import traceback
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraConfig, Element, bracket, format_element
+from .algebra import AlgebraConfig, bracket, format_element
 from .biderivations import (
     BiderivationForm,
     biderivation_defects,

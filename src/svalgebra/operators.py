@@ -3,7 +3,8 @@
 A derivation is a linear map with op([x,y]) = [op(x),y] + [x,op(y)].  On a
 finite window four things live here:
 
-  * the three outer derivations (D1, D2, D3) and inner derivations ad x,
+  * the three outer derivations (D1, D2, D3), each written once as the
+    image of one generator (``outer_image``), and inner derivations ad x,
   * a defect checker for the Leibniz identity over window pairs, on the
     integer core (``windows.LeibnizCheck``) the biderivation checker
     shares,
@@ -12,7 +13,8 @@ finite window four things live here:
     compared (``linalg.KernelComparison``) against the span of the known
     derivations; its rows (``derivation_rows``) also give the identity (2)
     rows of every biderivation slice,
-  * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3.
+  * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3, whose
+    columns are the images ``bracket_basis(x, g)`` and ``outer_image``.
 
 Truncation discipline: a constraint row is emitted for a pair (g1, g2) and
 an output coordinate h only when every generator the identity needs at
@@ -108,29 +110,28 @@ def operator_from_action(
     return LinearOperator(action, label)
 
 
-def builtin_derivation(which: str, w: Window, cfg: AlgebraConfig) -> LinearOperator:
-    """One of the three outer derivations.
+OUTER_DERIVATIONS = ("D1", "D2", "D3")
+_D3_WEIGHT = {"L": 0, "Y": 1, "M": 2}
+
+
+def outer_image(which: str, g: GeneratorId) -> Element:
+    """Image of one generator under an outer derivation.
 
     D1: L_m -> M_m.  D2: L_m -> m*M_m.  D3: Y_m -> Y_m, M_m -> 2*M_m.
     Each kills every other family.
     """
-    if which not in ("D1", "D2", "D3"):
-        raise ValueError(f"unknown builtin derivation {which!r}")
-    action: Dict[GeneratorId, Element] = {}
-    for g in w.generators(cfg):
-        if which == "D1":
-            img = Element.monomial(gen("M", g.index)) if g.family == "L" else ZERO
-        elif which == "D2":
-            img = Element.monomial(gen("M", g.index), g.index) if g.family == "L" else ZERO
-        else:
-            if g.family == "Y":
-                img = Element.monomial(g)
-            elif g.family == "M":
-                img = Element.monomial(g, 2)
-            else:
-                img = ZERO
-        action[g] = img
-    return LinearOperator(action, which)
+    if which == "D1":
+        return Element.monomial(gen("M", g.index)) if g.family == "L" else ZERO
+    if which == "D2":
+        return Element.monomial(gen("M", g.index), g.index) if g.family == "L" else ZERO
+    if which == "D3":
+        return Element.monomial(g, _D3_WEIGHT[g.family])
+    raise ValueError(f"unknown builtin derivation {which!r}")
+
+
+def builtin_derivation(which: str, w: Window, cfg: AlgebraConfig) -> LinearOperator:
+    """One of the three outer derivations (``outer_image``) on the window."""
+    return LinearOperator({g: outer_image(which, g) for g in w.generators(cfg)}, which)
 
 
 def inner_derivation(x: Element, w: Window, cfg: AlgebraConfig) -> LinearOperator:
@@ -254,7 +255,7 @@ def predicted_derivation_operators(w: Window, cfg: AlgebraConfig) -> List[Linear
         for g in w.generators(cfg)
         if g != M0
     ]
-    ops.extend(builtin_derivation(d, w, cfg) for d in ("D1", "D2", "D3"))
+    ops.extend(builtin_derivation(d, w, cfg) for d in OUTER_DERIVATIONS)
     return ops
 
 
@@ -297,24 +298,17 @@ def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> D
     inconsistent (op is not of the classified shape on this window).
     """
     xs = [g for g in w.generators(cfg) if g != M0]
-    na, nb, nc = len(xs), len(xs) + 1, len(xs) + 2
-    m = SparseMatrix(len(xs) + 3)
+    m = SparseMatrix(len(xs) + len(OUTER_DERIVATIONS))
     rhs: List[Fraction] = []
     for g in w.interior_generators(cfg):
         target = op.apply_basis(g)
         rows: Dict[GeneratorId, SparseVec] = {}
-        for j, gj in enumerate(xs):
-            for h, c in bracket_basis(gj, g, cfg).terms.items():
+        # column j is the image of g under ad xs[j], then under D1, D2, D3
+        columns = [bracket_basis(x, g, cfg) for x in xs]
+        columns += [outer_image(d, g) for d in OUTER_DERIVATIONS]
+        for j, img in enumerate(columns):
+            for h, c in img.terms.items():
                 vec_bump(rows.setdefault(h, {}), j, c)
-        if g.family == "L":
-            mg = gen("M", g.index)
-            vec_bump(rows.setdefault(mg, {}), na, Fraction(1))
-            if g.index:
-                vec_bump(rows.setdefault(mg, {}), nb, g.index)
-        elif g.family == "Y":
-            vec_bump(rows.setdefault(g, {}), nc, Fraction(1))
-        else:
-            vec_bump(rows.setdefault(g, {}), nc, Fraction(2))
         for h in target.terms:
             rows.setdefault(h, {})
         for h in sorted(rows, key=GeneratorId.sort_key):
@@ -326,7 +320,5 @@ def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> D
             "operator does not match ad x + a*D1 + b*D2 + c*D3 on this window"
         )
     x = Element({gj: sol[j] for j, gj in enumerate(xs) if j in sol})
-    zero = Fraction(0)
-    return DerivationDecomposition(
-        inner_part=x, a=sol.get(na, zero), b=sol.get(nb, zero), c=sol.get(nc, zero)
-    )
+    a, b, c = (sol.get(j, Fraction(0)) for j in range(len(xs), m.col_count))
+    return DerivationDecomposition(inner_part=x, a=a, b=b, c=c)

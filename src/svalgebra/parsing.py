@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .algebra import AlgebraConfig, Element, GeneratorId, gen, validate_generator
+from .algebra import AlgebraConfig, Element, GeneratorId, gen
 
 __all__ = [
     "ParseError",

@@ -20,7 +20,9 @@ parameter choice breaks one of the axioms, and `triviality_witness` returns
 the breaking instance together with its exact residual in closed form.
 `verify_triviality_theorem` sweeps a fixed parameter grid and replays each
 witness through the generic axiom evaluator, so the closed form and the
-checker must agree term by term.
+checker must agree term by term.  The replay reads only the product values
+the instance needs, on demand from ``BiderivationForm.value``; the full
+check `postlie_axiom_defects` tabulates the product once.
 
 `solve_postlie_window` is an independent brute-force cross-check.  It treats
 the product tensor itself as the unknown and works with the windowed axiom
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import (
     AlgebraConfig,
@@ -63,6 +65,7 @@ from .linalg import SparseMatrix, SparseVec, kernel_basis, kernel_combinations, 
 from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
+Values = Callable[[GeneratorId, GeneratorId], Element]
 
 _ONE = Fraction(1)
 
@@ -78,28 +81,44 @@ def materialize_product(p: ProductLike, w: Window, cfg: AlgebraConfig) -> Biline
     return p
 
 
-def _left_product(f: BilinearMap, e: Element, z: GeneratorId) -> Element:
+def _product_values(p: ProductLike, w: Window, cfg: AlgebraConfig) -> Values:
+    """A map's stored values, or a form's values read one pair at a time
+    (``BiderivationForm.value``); a pair outside the window raises the
+    KeyError that the realized map would raise."""
+    if isinstance(p, BilinearMap):
+        return p.value
+    gens = set(w.generators(cfg))
+
+    def value(a: GeneratorId, b: GeneratorId) -> Element:
+        if a not in gens or b not in gens:
+            raise KeyError(f"bilinear map realize{p} undefined on ({a}, {b})")
+        return p.value(a, b, cfg)
+
+    return value
+
+
+def _left_product(f: Values, e: Element, z: GeneratorId) -> Element:
     # e * z for window-supported e
     out = ZERO
     for b, c in e.terms.items():
-        out = out + f.value(b, z).scaled(c)
+        out = out + f(b, z).scaled(c)
     return out
 
 
-def _right_product(f: BilinearMap, x: GeneratorId, e: Element) -> Element:
+def _right_product(f: Values, x: GeneratorId, e: Element) -> Element:
     # x * e for window-supported e
     out = ZERO
     for b, c in e.terms.items():
-        out = out + f.value(x, b).scaled(c)
+        out = out + f(x, b).scaled(c)
     return out
 
 
-def _axiom5_defect(f: BilinearMap, a: GeneratorId, b: GeneratorId) -> Element:
-    return f.value(a, b) - f.value(b, a)
+def _axiom5_defect(f: Values, a: GeneratorId, b: GeneratorId) -> Element:
+    return f(a, b) - f(b, a)
 
 
 def _axiom6_defect(
-    f: BilinearMap,
+    f: Values,
     x: GeneratorId,
     y: GeneratorId,
     z: GeneratorId,
@@ -109,15 +128,15 @@ def _axiom6_defect(
     br = bracket_basis(x, y, cfg)
     if not w.contains_element(br):
         return None
-    yz = f.value(y, z)
-    xz = f.value(x, z)
+    yz = f(y, z)
+    xz = f(x, z)
     if not (w.contains_element(yz) and w.contains_element(xz)):
         return None
     return _left_product(f, br, z) - _right_product(f, x, yz) + _right_product(f, y, xz)
 
 
 def _axiom7_defect(
-    f: BilinearMap,
+    f: Values,
     x: GeneratorId,
     y: GeneratorId,
     z: GeneratorId,
@@ -128,8 +147,8 @@ def _axiom7_defect(
     if not w.contains_element(br):
         return None
     left = _right_product(f, x, br)
-    right = bracket(f.value(x, y), Element.monomial(z, _ONE), cfg)
-    right = right + bracket(Element.monomial(y, _ONE), f.value(x, z), cfg)
+    right = bracket(f(x, y), Element.monomial(z, _ONE), cfg)
+    right = right + bracket(Element.monomial(y, _ONE), f(x, z), cfg)
     return left - right
 
 
@@ -144,9 +163,10 @@ def axiom_defect(
 
     Returns None when the instance is not evaluable on the window.  This is
     the same per-instance evaluation the full checker runs, so a value here
-    is exactly the entry `postlie_axiom_defects` would report.
+    is exactly the entry `postlie_axiom_defects` would report.  A form is
+    not realized: only the values the instance reads are evaluated.
     """
-    f = materialize_product(p, w, cfg)
+    f = _product_values(p, w, cfg)
     if axiom == AXIOM_COMMUTATIVITY:
         a, b = inputs
         return _axiom5_defect(f, a, b)
@@ -171,11 +191,11 @@ def postlie_axiom_defects(
     symmetric), axioms 6 and 7 on all evaluable triples; each violation is
     tagged with its axiom.  Defects are full elements, not projections.
     """
-    f = materialize_product(p, w, cfg)
+    f = materialize_product(p, w, cfg).value
     gens = w.generators(cfg)
     for a in gens:
         for b in gens:
-            f.value(a, b)  # total on the window or KeyError
+            f(a, b)  # total on the window or KeyError
     rep = DefectReport(max_recorded=max_recorded)
 
     pairs = 0
@@ -348,8 +368,7 @@ def verify_triviality_theorem(
         if wit is None:
             cases.append(SweepCase(form, None, False, "missing witness"))
             continue
-        f = realize(form, w, cfg)
-        d = axiom_defect(f, wit.axiom, wit.inputs, w, cfg)
+        d = axiom_defect(form, wit.axiom, wit.inputs, w, cfg)
         if d is None:
             cases.append(SweepCase(form, wit, False, "witness instance not evaluable"))
         elif d != wit.residual:

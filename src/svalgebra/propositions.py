@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from .linalg import KernelComparison, SparseMatrix, SparseVec, SpanBasis
 from .windows import Window

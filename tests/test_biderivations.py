@@ -27,7 +27,7 @@ from svalgebra import (
     representable_shifts,
     skew_kernel_members,
 )
-from svalgebra.biderivations import PairCoords
+from svalgebra.biderivations import PairCoords, predicted_biderivation_maps
 from svalgebra.linalg import kernel_dimension_dense_modp, span_basis
 from svalgebra.operators import project_columns
 
@@ -76,6 +76,61 @@ class TestRealize:
         brk = realize(BiderivationForm(1, {}), w, CFG0)
         assert chi.is_symmetric() and not chi.is_skewsymmetric()
         assert brk.is_skewsymmetric() and not brk.is_symmetric()
+
+
+def _reference_chi_omega(omega, w, cfg):
+    """The central-shift map as a window loop of its own (the pre-form code)."""
+    tensor = {}
+    gens = w.generators(cfg)
+    for g1 in gens:
+        for g2 in gens:
+            if g1.family == "L" and g2.family == "L":
+                s = g1.index + g2.index
+                tensor[(g1, g2)] = Element({gen("M", s + k): v for k, v in omega.items()})
+            else:
+                tensor[(g1, g2)] = ZERO
+    return BilinearMap(tensor, f"chi({omega})")
+
+
+def _reference_realize(form, w, cfg):
+    chi = _reference_chi_omega(form.omega, w, cfg)
+    tensor = {}
+    for (g1, g2), tail in chi.tensor.items():
+        tensor[(g1, g2)] = bracket_basis(g1, g2, cfg).scaled(form.lam) + tail
+    return BilinearMap(tensor, f"realize{form}")
+
+
+def _layout(f):
+    """Label, pair order and term order: everything a printer could see."""
+    return f.label, [(pair, list(v.terms.items())) for pair, v in f.tensor.items()]
+
+
+# lam = 0, several shifts at once, and shifts whose M terms leave the window
+_PINNED_FORMS = [
+    BiderivationForm(lam, om)
+    for lam in (Fraction(0), Fraction(1), Fraction(-3, 2))
+    for om in ({}, {0: 1}, {-1: Fraction(2, 3), 2: -4}, {5: 7, -9: Fraction(1, 5)})
+]
+
+
+class TestRealizeMatchesReference:
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
+    @pytest.mark.parametrize("radius", [3, 5])
+    def test_realize_and_chi(self, radius, cfg):
+        w = Window(radius)
+        for form in _PINNED_FORMS:
+            assert _layout(realize(form, w, cfg)) == _layout(_reference_realize(form, w, cfg))
+            got = chi_omega(form.omega, w, cfg)
+            assert _layout(got) == _layout(_reference_chi_omega(form.omega, w, cfg))
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
+    @pytest.mark.parametrize("radius", [3, 5])
+    def test_predicted_maps(self, radius, cfg):
+        w = Window(radius)
+        want = [_reference_realize(BiderivationForm(1, EMPTY_OMEGA), w, cfg)]
+        want += [_reference_chi_omega(OmegaSet({k: 1}), w, cfg) for k in representable_shifts(w)]
+        got = predicted_biderivation_maps(w, cfg)
+        assert [_layout(f) for f in got] == [_layout(f) for f in want]
 
 
 class TestDefects:
@@ -188,6 +243,13 @@ class TestMatchForm:
         w = Window(4)
         f = realize(BiderivationForm(1, {}), w, CFG0)
         f.tensor[(gen("L", 0), gen("L", 1))] = Element.monomial(gen("Y", 1))
+        assert match_form(f, w, CFG0) is None
+
+    def test_rejects_shift_read_with_two_coefficients(self):
+        w = Window(4)
+        f = realize(BiderivationForm(1, {0: 1}), w, CFG0)
+        pair = (gen("L", 0), gen("L", 1))
+        f.tensor[pair] = f.tensor[pair] + Element.monomial(gen("M", 1))
         assert match_form(f, w, CFG0) is None
 
     def test_rejects_non_classified_map(self):

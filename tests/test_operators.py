@@ -1,5 +1,6 @@
 """Derivation checking, solving, classification and decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from svalgebra import (
     Element,
     Window,
     ZERO,
+    bracket_basis,
     builtin_derivation,
     classify_derivations,
     decompose_derivation,
@@ -19,7 +21,8 @@ from svalgebra import (
     operator_from_action,
     predicted_derivation_operators,
 )
-from svalgebra.linalg import kernel_dimension_dense_modp
+from svalgebra.linalg import SparseMatrix, kernel_dimension_dense_modp, solve_linear, vec_bump
+from svalgebra.operators import DerivationDecomposition
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -154,3 +157,76 @@ class TestDecomposition:
         op = operator_from_action(action, W4, CFG0)
         with pytest.raises(DecompositionError):
             decompose_derivation(op, W4, CFG0)
+
+
+def _reference_decompose_derivation(op, w, cfg):
+    """The decomposition system with D1-D3 written out by hand as columns
+    (the pre-``outer_image`` code); column and row order as there."""
+    m0 = gen("M", 0)
+    xs = [g for g in w.generators(cfg) if g != m0]
+    na, nb, nc = len(xs), len(xs) + 1, len(xs) + 2
+    m = SparseMatrix(len(xs) + 3)
+    rhs = []
+    for g in w.interior_generators(cfg):
+        target = op.apply_basis(g)
+        rows = {}
+        for j, gj in enumerate(xs):
+            for h, c in bracket_basis(gj, g, cfg).terms.items():
+                vec_bump(rows.setdefault(h, {}), j, c)
+        if g.family == "L":
+            mg = gen("M", g.index)
+            vec_bump(rows.setdefault(mg, {}), na, Fraction(1))
+            if g.index:
+                vec_bump(rows.setdefault(mg, {}), nb, g.index)
+        elif g.family == "Y":
+            vec_bump(rows.setdefault(g, {}), nc, Fraction(1))
+        else:
+            vec_bump(rows.setdefault(g, {}), nc, Fraction(2))
+        for h in target.terms:
+            rows.setdefault(h, {})
+        for h in sorted(rows, key=lambda k: k.sort_key()):
+            m.add_row(rows[h])
+            rhs.append(target.coefficient(h))
+    sol = solve_linear(m, rhs)
+    if sol is None:
+        raise DecompositionError("operator does not match ad x + a*D1 + b*D2 + c*D3 on this window")
+    x = Element({gj: sol[j] for j, gj in enumerate(xs) if j in sol})
+    zero = Fraction(0)
+    return DerivationDecomposition(
+        inner_part=x, a=sol.get(na, zero), b=sol.get(nb, zero), c=sol.get(nc, zero)
+    )
+
+
+def _seeded_operators(rng, w, cfg, count):
+    """ad x + a*D1 + b*D2 + c*D3 with random x (M_0 terms included) and
+    coefficients, every other one perturbed at a random generator."""
+    gens = w.generators(cfg)
+    for i in range(count):
+        x = Element({g: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for g in rng.sample(gens, 3)})
+        op = inner_derivation(x, w, cfg)
+        for d in ("D1", "D2", "D3"):
+            op = op + builtin_derivation(d, w, cfg).scaled(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if i % 2:
+            g, h = rng.choice(gens), rng.choice(gens)
+            op.action[g] = op.action[g] + Element.monomial(h, rng.randint(1, 9))
+        yield op
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("radius", [3, 4])
+def test_decomposition_matches_reference(radius, eps):
+    cfg = AlgebraConfig(eps)
+    w = Window(radius)
+    rng = random.Random(8000 + radius + int(2 * eps))
+    outcomes = set()
+    for op in _seeded_operators(rng, w, cfg, 16):
+        try:
+            want = _reference_decompose_derivation(op, w, cfg)
+        except DecompositionError:
+            with pytest.raises(DecompositionError):
+                decompose_derivation(op, w, cfg)
+            outcomes.add("error")
+            continue
+        assert decompose_derivation(op, w, cfg) == want
+        outcomes.add("decomposed")
+    assert outcomes == {"error", "decomposed"}

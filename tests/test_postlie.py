@@ -1,5 +1,6 @@
 """Commutative product axioms, triviality witnesses and the window sweep."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,12 @@ from svalgebra import (
     gen,
     materialize_product,
     postlie_axiom_defects,
+    realize,
     solve_postlie_window,
     triviality_witness,
     verify_triviality_theorem,
 )
+from svalgebra.postlie import _sweep_forms
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -99,6 +102,64 @@ class TestAxiomDefect:
             f, AXIOM_BRACKET_DERIVATION, (gen("L", 1), gen("L", 2), gen("L", -1)), w, CFG0
         )
         assert d is not None and not d.terms
+
+
+def _replay_instances(w, cfg):
+    """A fixed set of axiom instances: seeded window inputs for each axiom
+    plus instances that leave the window (``axiom_defect`` returns None)."""
+    gens = w.generators(cfg)
+    rng = random.Random(2016)
+    out = [(AXIOM_COMMUTATIVITY, tuple(rng.sample(gens, 2))) for _ in range(6)]
+    out += [(AXIOM_WEIGHTED_LEIBNIZ, tuple(rng.sample(gens, 3))) for _ in range(12)]
+    out += [(AXIOM_BRACKET_DERIVATION, tuple(rng.sample(gens, 3))) for _ in range(12)]
+    n = w.radius
+    out += [
+        (AXIOM_WEIGHTED_LEIBNIZ, (gen("L", n), gen("L", n - 1), gen("L", 0))),
+        (AXIOM_WEIGHTED_LEIBNIZ, (gen("L", 1), gen("L", 2), gen("L", n))),
+        (AXIOM_BRACKET_DERIVATION, (gen("L", 0), gen("L", n), gen("L", 1))),
+        (AXIOM_BRACKET_DERIVATION, (gen("L", 1), gen("L", n), gen("L", -1))),
+    ]
+    return out
+
+
+class TestFormReplayMatchesRealizedMap:
+    """``axiom_defect`` on a form reads values lazily; it must give exactly
+    what the realized window tensor gives, None and KeyError included."""
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
+    def test_every_sweep_form(self, cfg):
+        w = Window(6)
+        instances = _replay_instances(w, cfg)
+        seen = set()
+        for form in _sweep_forms(w):
+            f = realize(form, w, cfg)
+            wit = triviality_witness(form, cfg)
+            extra = [] if wit is None else [(wit.axiom, wit.inputs)]
+            for axiom, inputs in extra + instances:
+                got = axiom_defect(form, axiom, inputs, w, cfg)
+                assert got == axiom_defect(f, axiom, inputs, w, cfg), (form, axiom, inputs)
+                seen.add("none" if got is None else "zero" if got.is_zero else "defect")
+        assert seen == {"none", "zero", "defect"}
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
+    def test_outside_inputs_raise_the_same_key_error(self, cfg):
+        w = Window(6)
+        off_lattice = gen("Y", cfg.epsilon + Fraction(1, 2))
+        cases = [
+            (AXIOM_COMMUTATIVITY, (gen("L", 7), gen("L", 1))),
+            (AXIOM_COMMUTATIVITY, (off_lattice, gen("L", 1))),
+            (AXIOM_WEIGHTED_LEIBNIZ, (gen("L", 7), gen("L", -1), gen("L", 0))),
+            (AXIOM_BRACKET_DERIVATION, (gen("L", 7), gen("L", 1), gen("L", 2))),
+        ]
+        for form in (BiderivationForm(Fraction(1, 2), {-1: 3}), BiderivationForm(0, {})):
+            f = realize(form, w, cfg)
+            for axiom, inputs in cases:
+                with pytest.raises(KeyError) as want:
+                    axiom_defect(f, axiom, inputs, w, cfg)
+                with pytest.raises(KeyError) as got:
+                    axiom_defect(form, axiom, inputs, w, cfg)
+                assert str(got.value) == str(want.value)
+                assert "undefined on" in str(got.value)
 
 
 class TestWitnesses:
