@@ -16,10 +16,11 @@ Identity (1) is the Leibniz rule of every slice f(., z) and identity (2)
 that of every slice f(x, .), so the operator module's truncation
 discipline applies, anchored at the bracketed pair: the first two
 arguments for identity (1), the last two for identity (2).
-The defect checker evaluates both on the derivation checker's integer
-core (``windows.LeibnizCheck``).  The identity (2) rows are the derivation
-rows of each slice f(x, .); the identity (1) rows are read off the
-window's integer-position bracket table (``windows.BracketTable``).
+Identity (1) for f is identity (2) for the transpose of f.  The defect
+checker evaluates both on the derivation checker's integer core
+(``windows.LeibnizCheck``), and both row families are derivation rows
+(``operators.derivation_rows``) of slices: identity (1) those of each
+f(., z), identity (2) those of each f(x, .).
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from .operators import (
     outer_image,
 )
 from .parsing import DomainError
-from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window
+from .windows import BracketTable, DefectReport, LeibnizCheck, Window
 
 Pair = Tuple[GeneratorId, GeneratorId]
 
@@ -289,25 +290,14 @@ def representable_shifts(w: Window) -> List[int]:
 
 
 def identity1_rows(coords: PairCoords, cfg: AlgebraConfig):
-    """Faithful rows of identity (1), anchored at the bracketed pair."""
-    table = BracketTable(coords.window, cfg)
+    """Faithful rows of identity (1), anchored at the bracketed pair: for
+    each g3 the derivation rows of the slice f(., g3), whose operator
+    column (g, h) is the tensor column (g, g3, h)."""
+    rows = list(derivation_rows(BracketTable(coords.window, cfg)))
     n = coords.n
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            br = table.product[p1 * n + p2]
-            if br is not None and br[0] == OUTSIDE:
-                continue
-            targets = table.anchored_targets(p1, p2)
-            for p3 in range(n):
-                # f([g1,g2], g3) - [g1, f(g2,g3)] - [f(g1,g3), g2] at h
-                base23, base13 = (p2 * n + p3) * n, (p1 * n + p3) * n
-                for h in targets:
-                    row: SparseVec = {} if br is None else {(br[0] * n + p3) * n + h: br[1]}
-                    for p, c in table.left[p1 * n + h]:
-                        vec_bump(row, base23 + p, -c)
-                    for p, c in table.right[p2 * n + h]:
-                        vec_bump(row, base13 + p, -c)
-                    yield row
+    for p3 in range(n):
+        for row in rows:
+            yield {(c // n * n + p3) * n + c % n: x for c, x in row.items()}
 
 
 def identity2_rows(coords: PairCoords, cfg: AlgebraConfig):

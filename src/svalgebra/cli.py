@@ -290,6 +290,8 @@ def _cmd_props(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome
             "interior_predicted_dimension": rep.interior_predicted_dimension,
             "free_directions": len(rep.free_directions),
             "interior_match": rep.interior_match,
+            "predicted_in_kernel": rep.predicted_in_kernel,
+            "mutual_membership": list(rep.mutual_membership),
         }
         lines.append(
             f"{name}: kernel {rep.kernel_dimension}, interior {rep.interior_kernel_dimension}"
@@ -359,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     w = Window(ns.window)
     try:
         status, payload, lines = _HANDLERS[ns.command](ns, cfg, w)
-    except (UsageError, ParseError, DomainError, OSError) as exc:
+    except (UsageError, ParseError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if ns.json:

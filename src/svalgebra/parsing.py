@@ -1,12 +1,16 @@
 """Surface syntax for elements, operators, tensors and shift sets.
 
-Element grammar (whitespace insignificant):
+Element grammar:
 
     element   := [sign] term { sign term }
     term      := [ rational "*" ] generator | rational
     generator := ("L"|"Y"|"M") "[" rational "]"
     rational  := integer [ "/" positive-integer ]
     sign      := "+" | "-"
+
+Whitespace may separate tokens, but a rational is one token: none may
+follow its ``-`` or surround its ``/`` (``L[- 1]``, ``1 /2*L[0]``), nor
+stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9``.
 
 A lone rational is rejected with one exception: the exact input ``0``
 denotes the zero element, so the canonical printed form of every element
@@ -77,7 +81,7 @@ class _Cursor:
 
 def _parse_digits(cur: _Cursor) -> int:
     start = cur.pos
-    while cur.peek().isdigit():
+    while "0" <= cur.peek() <= "9":  # ASCII only: str.isdigit accepts "²" and "٣"
         cur.pos += 1
     if cur.pos == start:
         raise ParseError("expected digits", cur.pos)

@@ -260,13 +260,17 @@ _PROPS_N4_TEXT = (
 _PROPS_N4_SYSTEMS = (
     '"systems": {'
     '"prop1": {"kernel_dimension": 5, "interior_kernel_dimension": 1,'
-    ' "interior_predicted_dimension": 1, "free_directions": 0, "interior_match": true},'
+    ' "interior_predicted_dimension": 1, "free_directions": 0, "interior_match": true,'
+    ' "predicted_in_kernel": true, "mutual_membership": [true, true]},'
     ' "prop2": {"kernel_dimension": 4, "interior_kernel_dimension": 0,'
-    ' "interior_predicted_dimension": 0, "free_directions": 0, "interior_match": true},'
+    ' "interior_predicted_dimension": 0, "free_directions": 0, "interior_match": true,'
+    ' "predicted_in_kernel": true, "mutual_membership": [true, true]},'
     ' "prop3": {"kernel_dimension": 35, "interior_kernel_dimension": 15,'
-    ' "interior_predicted_dimension": 15, "free_directions": 18, "interior_match": true},'
+    ' "interior_predicted_dimension": 15, "free_directions": 18, "interior_match": true,'
+    ' "predicted_in_kernel": true, "mutual_membership": [true, true]},'
     ' "prop4": {"kernel_dimension": 9, "interior_kernel_dimension": 5,'
-    ' "interior_predicted_dimension": 5, "free_directions": 9, "interior_match": true}}'
+    ' "interior_predicted_dimension": 5, "free_directions": 9, "interior_match": true,'
+    ' "predicted_in_kernel": true, "mutual_membership": [true, true]}}'
 )
 
 
@@ -385,10 +389,14 @@ class TestClassificationGolden:
         assert run(capsys, "props", "-N", "4") == (
             1, "classification-mismatch\n" + _PROPS_N4_TEXT, ""
         )
+        # only the predicted-in-kernel key says why
+        prop3 = '"free_directions": 18, "interior_match": true, "predicted_in_kernel": '
+        systems = _PROPS_N4_SYSTEMS.replace(prop3 + "true", prop3 + "false")
+        assert systems != _PROPS_N4_SYSTEMS
         assert run(capsys, "props", "-N", "4", "--json") == (
             1,
             '{"command": "props", "epsilon": "0", "window": 4, "seed": null,'
-            f' "verdict": "classification-mismatch", {_PROPS_N4_SYSTEMS}}}\n',
+            f' "verdict": "classification-mismatch", {systems}}}\n',
             "",
         )
 
@@ -442,6 +450,37 @@ class TestExitCodes:
         code, out, err = run(capsys, command, str(path), "-N", "3")
         assert (code, out) == (2, "")
         assert err == "error: line 1: expected digits (at position 2)\n"
+
+    @pytest.mark.parametrize("command", ["check-derivation", "decompose-derivation"])
+    def test_usage_non_ascii_digit_in_operator_file(self, capsys, tmp_path, command):
+        path = tmp_path / "digits.txt"
+        path.write_text("L[\u00b2] -> 0\n", encoding="utf-8")
+        assert run(capsys, command, str(path), "-N", "3") == (
+            2, "", "error: line 1: expected digits (at position 2)\n"
+        )
+
+    @pytest.mark.parametrize("x", ["L[\u00b2]", "L[\u0663]"])
+    def test_usage_non_ascii_digit_in_argument(self, capsys, x):
+        assert run(capsys, "bracket", x, "L[1]") == (
+            2, "", "error: expected digits (at position 2)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("check-derivation", "# caf\u00e9\nL[1] -> 0\n"),
+            ("decompose-derivation", "# caf\u00e9\nL[1] -> 0\n"),
+            ("check-biderivation", "# caf\u00e9\n(L[0], L[1]) -> 0\n"),
+            ("match-form", "# caf\u00e9\n(L[0], L[1]) -> 0\n"),
+        ],
+    )
+    def test_usage_non_utf8_file(self, capsys, tmp_path, command, text):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run(capsys, command, str(path), "-N", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
 
     def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
         # e.g. a mis-indexed constraint row failing SparseMatrix.add_row

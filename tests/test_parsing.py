@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from svalgebra import (
@@ -76,6 +76,13 @@ class TestParseElement:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_element("L[1] ?", CFG0)
+
+    @pytest.mark.parametrize("text", ["L[\u00b2]", "L[\u0663]"], ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digits_rejected(self, text):
+        # str.isdigit accepts both; int() rejects the first, reads the second as 3
+        with pytest.raises(ParseError) as info:
+            parse_element(text, CFG0)
+        assert str(info.value) == "expected digits (at position 2)"
 
     def test_generator_and_rational_helpers(self):
         assert parse_generator("Y[-3/2]", CFG_HALF) == gen("Y", Fraction(-3, 2))
@@ -173,3 +180,30 @@ class TestFileFormats:
     def test_domain_error_names_its_line(self):
         with pytest.raises(DomainError, match=r"^line 1: index 1/2 invalid"):
             parse_operator_lines("L[1] -> Y[1/2]\n", CFG0)
+
+
+_PARSERS = (
+    lambda t: parse_element(t, CFG0),
+    lambda t: parse_generator(t, CFG_HALF),
+    parse_rational,
+    lambda t: parse_operator_lines(t, CFG0),
+    lambda t: parse_tensor_lines(t, CFG_HALF),
+    parse_omega_lines,
+)
+_GRAMMAR = st.sampled_from(list("LYMmu[]()*/+-=>,#0123456789 \n"))
+_UNICODE_DIGITS = st.characters(categories=("Nd", "No"))
+
+
+@given(st.one_of(st.text(), st.text(st.one_of(_GRAMMAR, _UNICODE_DIGITS))))
+@example("L[\u00b2]")
+@example("L[\u0663]")
+@example("mu[\u00b2] = 1")
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_their_own_errors(text):
+    # malformed input is a usage error (ParseError or DomainError), never a
+    # bare ValueError that the command line would report as an internal fault
+    for parse in _PARSERS:
+        try:
+            parse(text)
+        except (ParseError, DomainError):
+            pass

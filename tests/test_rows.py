@@ -7,6 +7,7 @@ window's integer-position bracket table; both must emit the same rows, in
 the same order, with the same keys in the same order and equal values.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -83,20 +84,20 @@ def reference_identity1_rows(coords, cfg):
     w = coords.window
     n = w.radius
     gens = coords.gens
-    for i, g1 in enumerate(gens):
-        for g2 in gens[i + 1:]:
-            br = bracket_basis(g1, g2, cfg)
-            if not w.contains_element(br):
-                continue
-            for g3 in gens:
+    for g3 in gens:
+        for i, g1 in enumerate(gens):
+            for g2 in gens[i + 1:]:
+                br = bracket_basis(g1, g2, cfg)
+                if not w.contains_element(br):
+                    continue
                 for h in gens:
                     if abs(h.index - g1.index) > n or abs(h.index - g2.index) > n:
                         continue
                     row = {}
                     for b, cb in br.terms.items():
                         _bump(row, coords.col(b, g3, h), cb)
-                    _value_terms(row, coords, cfg, (g2, g3), g1, h, left=True)
                     _value_terms(row, coords, cfg, (g1, g3), g2, h, left=False)
+                    _value_terms(row, coords, cfg, (g2, g3), g1, h, left=True)
                     yield row
 
 
@@ -144,6 +145,26 @@ def test_identity_rows_match_reference(ours, reference, eps):
     cfg = AlgebraConfig(eps)
     coords = PairCoords(Window(2), cfg)
     assert _stream(ours(coords, cfg)) == _stream(reference(coords, cfg))
+
+
+@pytest.mark.parametrize("eps", PARITIES)
+def test_identity1_rows_are_transposed_identity2_rows(eps):
+    # identity (1) for f is identity (2) for the transpose of f: swapping
+    # the two arguments of every column maps one row multiset onto the other
+    cfg = AlgebraConfig(eps)
+    coords = PairCoords(Window(3), cfg)
+    n = coords.n
+
+    def transposed(c):
+        pair, k = divmod(c, n)
+        a, b = divmod(pair, n)
+        return (b * n + a) * n + k
+
+    def multiset(rows):
+        return Counter(frozenset(row.items()) for row in rows)
+
+    swapped = ({transposed(c): x for c, x in row.items()} for row in identity2_rows(coords, cfg))
+    assert multiset(identity1_rows(coords, cfg)) == multiset(swapped)
 
 
 @pytest.mark.parametrize("eps", PARITIES)
