@@ -20,13 +20,17 @@ Identity (1) for f is identity (2) for the transpose of f.  The defect
 checker evaluates both on the derivation checker's integer core
 (``windows.LeibnizCheck``), and both row families are derivation rows
 (``operators.derivation_rows``) of slices: identity (1) those of each
-f(., z), identity (2) those of each f(x, .).
+f(., z), identity (2) those of each f(x, .).  Tensors are encoded on
+``PairCoords``, the arity-2 ``windows.WindowCoords``: its interior keeps
+both arguments within floor(N/2) and the value shift within
+``Window.shift_budget(2)``, and ``representable_shifts`` are exactly the
+central shifts that budget admits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import (
     ZERO,
@@ -53,7 +57,7 @@ from .operators import (
     outer_image,
 )
 from .parsing import DomainError
-from .windows import BracketTable, DefectReport, LeibnizCheck, Window
+from .windows import BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
 Pair = Tuple[GeneratorId, GeneratorId]
 
@@ -224,34 +228,14 @@ def biderivation_defects(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Defec
     return rep
 
 
-class PairCoords:
-    """Column enumeration for window tensors: ((g1, g2), h), lexicographic."""
+class PairCoords(WindowCoords):
+    """Columns ((g1, g2), h) of window tensors: the value at (g1, g2) is
+    ``f.value(g1, g2)``."""
 
-    def __init__(self, w: Window, cfg: AlgebraConfig):
-        self.window = w
-        self.gens: List[GeneratorId] = w.generators(cfg)
-        self.pos: Dict[GeneratorId, int] = {g: i for i, g in enumerate(self.gens)}
-        self.n = len(self.gens)
-        self.col_count = self.n ** 3
+    arity = 2
 
-    def col(self, g1: GeneratorId, g2: GeneratorId, h: GeneratorId) -> int:
-        n = self.n
-        return (self.pos[g1] * n + self.pos[g2]) * n + self.pos[h]
-
-    def at(self, col: int) -> Tuple[GeneratorId, GeneratorId, GeneratorId]:
-        n = self.n
-        col, k = divmod(col, n)
-        i, j = divmod(col, n)
-        return self.gens[i], self.gens[j], self.gens[k]
-
-    def encode(self, f: BilinearMap) -> SparseVec:
-        v: SparseVec = {}
-        for g1 in self.gens:
-            for g2 in self.gens:
-                for h, c in f.value(g1, g2).terms.items():
-                    if h in self.pos:
-                        v[self.col(g1, g2, h)] = c
-        return v
+    def value(self, f: BilinearMap, args: Tuple[GeneratorId, ...]) -> Element:
+        return f.value(*args)
 
     def decode(self, v: SparseVec, label: str = "") -> BilinearMap:
         tensor: Dict[Pair, Element] = {
@@ -265,27 +249,11 @@ class PairCoords:
             tensor[pair] = Element(terms)
         return BilinearMap(tensor, label)
 
-    def interior_columns(self) -> Set[int]:
-        """Coordinates where window encodings of genuine solutions are
-        exact: both arguments in the interior and the value shift small
-        enough that |h| <= N is automatic."""
-        r = self.window.interior_radius
-        budget = self.window.radius - 2 * r
-        cols = set()
-        inner = [g for g in self.gens if abs(g.index) <= r]
-        for g1 in inner:
-            for g2 in inner:
-                s = g1.index + g2.index
-                for h in self.gens:
-                    if abs(h.index - s) <= budget:
-                        cols.add(self.col(g1, g2, h))
-        return cols
-
 
 def representable_shifts(w: Window) -> List[int]:
     """Shifts k whose central-shift map is fully visible on the interior:
     |m + n + k| <= N for all interior m, n."""
-    cap = w.radius - 2 * w.interior_radius
+    cap = w.shift_budget(2)
     return list(range(-cap, cap + 1))
 
 
@@ -423,7 +391,7 @@ class BiderivationDecomposition:
     rho: Tuple[Dict[GeneratorId, Fraction], ...]
     theta: Tuple[Dict[GeneratorId, Fraction], ...]
 
-    def reassemble(self, x: GeneratorId, y: GeneratorId, w: Window, cfg: AlgebraConfig) -> Element:
+    def reassemble(self, x: GeneratorId, y: GeneratorId, cfg: AlgebraConfig) -> Element:
         """rho1(x)D1(y) + rho2(x)D2(y) + rho3(x)D3(y) + [phi(x), y]."""
         out = bracket(self.phi.apply_basis(x), Element.monomial(y), cfg)
         for i, d in enumerate(OUTER_DERIVATIONS):

@@ -365,7 +365,7 @@ class KernelComparison:
 
 # -- independent cross-check -----------------------------------------------
 
-_DEFAULT_PRIMES = (1_000_003, 1_000_033, 1_000_037)
+_PRIMES = (1_000_003, 1_000_033, 1_000_037)
 
 
 def _column_components(m: SparseMatrix) -> Tuple[Dict[int, List[int]], Dict[int, List[SparseVec]]]:
@@ -437,8 +437,9 @@ def _rank_mod(rows: List[Dict[int, int]], q: int) -> Optional[int]:
     return len(pivots)
 
 
-def kernel_dimension_dense_modp(m: SparseMatrix, primes: Sequence[int] = _DEFAULT_PRIMES) -> int:
-    """Kernel dimension over GF(p) for each prime p, which must all agree.
+def kernel_dimension_dense_modp(m: SparseMatrix) -> int:
+    """Kernel dimension over GF(p) for each prime p of ``_PRIMES``, which
+    must all agree.
 
     The name is kept from an earlier dense implementation; the elimination
     is sparse.  It runs once over Z/q with q the product of the primes.
@@ -451,7 +452,7 @@ def kernel_dimension_dense_modp(m: SparseMatrix, primes: Sequence[int] = _DEFAUL
     agreement with an exact kernel basis whose vectors were verified
     against the matrix certifies the rational kernel dimension outright.
     """
-    q = prod(primes)
+    q = prod(_PRIMES)
     inverses: Dict[int, Optional[int]] = {1: 1}
     rows: List[Dict[int, int]] = []
     for row in m.rows:
@@ -469,13 +470,13 @@ def kernel_dimension_dense_modp(m: SparseMatrix, primes: Sequence[int] = _DEFAUL
             rows.append(out)
     bad = [d for d, inv in inverses.items() if inv is None]
     if bad:
-        p = min(p for p in primes if any(d % p == 0 for d in bad))
+        p = min(p for p in _PRIMES if any(d % p == 0 for d in bad))
         raise ArithmeticError(f"prime {p} divides a denominator")
     rank_q = _rank_mod(rows, q)
     if rank_q is not None:
         return m.col_count - rank_q
     dims = []
-    for p in primes:
+    for p in _PRIMES:
         rows_p = [{c: x % p for c, x in row.items() if x % p} for row in rows]
         dims.append(m.col_count - _rank_mod(rows_p, p))
     if len(set(dims)) != 1:

@@ -9,9 +9,10 @@ finite window four things live here:
     integer core (``windows.LeibnizCheck``) the biderivation checker
     shares,
   * the exact constraint system whose kernel is the space of all window
-    operators satisfying every truncation-faithful Leibniz constraint,
+    operators satisfying every truncation-faithful Leibniz constraint, on
+    the columns ``OperatorCoords`` (the arity-1 ``windows.WindowCoords``),
     compared (``linalg.KernelComparison``) against the span of the known
-    derivations; its rows (``derivation_rows``) also give the identity (2)
+    derivations on its interior; its rows (``derivation_rows``) also give the identity (2)
     rows of every biderivation slice,
   * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3, whose
     columns are the images ``bracket_basis(x, g)`` and ``outer_image``.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .algebra import (
     ZERO,
@@ -51,7 +52,7 @@ from .linalg import (
     vec_bump,
 )
 from .parsing import DomainError
-from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window
+from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
 M0 = gen("M", 0)
 
@@ -163,59 +164,12 @@ def derivation_defect(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> Defe
     return rep
 
 
-class OperatorCoords:
-    """Column enumeration for window operators: (source g, image h) pairs,
-    lexicographic in canonical generator order."""
+class OperatorCoords(WindowCoords):
+    """Columns (source g, image h) of window operators: the value at (g,)
+    is ``op.apply_basis(g)``."""
 
-    def __init__(self, w: Window, cfg: AlgebraConfig):
-        self.window = w
-        self.gens: List[GeneratorId] = w.generators(cfg)
-        self.pos: Dict[GeneratorId, int] = {g: i for i, g in enumerate(self.gens)}
-        self.n = len(self.gens)
-        self.col_count = self.n * self.n
-
-    def col(self, g: GeneratorId, h: GeneratorId) -> int:
-        return self.pos[g] * self.n + self.pos[h]
-
-    def at(self, col: int) -> Tuple[GeneratorId, GeneratorId]:
-        return self.gens[col // self.n], self.gens[col % self.n]
-
-    def encode(self, op: LinearOperator) -> SparseVec:
-        """Window restriction of an operator; out-of-window image terms drop."""
-        v: SparseVec = {}
-        for g in self.gens:
-            for h, c in op.apply_basis(g).terms.items():
-                if h in self.pos:
-                    v[self.col(g, h)] = c
-        return v
-
-    def decode(self, v: SparseVec, label: str = "") -> LinearOperator:
-        action: Dict[GeneratorId, Element] = {g: ZERO for g in self.gens}
-        buckets: Dict[GeneratorId, Dict[GeneratorId, Fraction]] = {}
-        for col, c in v.items():
-            g, h = self.at(col)
-            buckets.setdefault(g, {})[h] = c
-        for g, terms in buckets.items():
-            action[g] = Element(terms)
-        return LinearOperator(action, label)
-
-    def interior_columns(self) -> Set[int]:
-        """Coordinates where window encodings of genuine solutions are exact.
-
-        A window-supported x shifts indices by at most N, so demanding
-        |g| <= r and |h - g| <= N - r keeps |h| <= N: no image term of
-        ad x (or of the shift-0 outer derivations) gets clipped there.
-        """
-        r = self.window.interior_radius
-        budget = self.window.radius - r
-        cols = set()
-        for g in self.gens:
-            if abs(g.index) > r:
-                continue
-            for h in self.gens:
-                if abs(h.index - g.index) <= budget:
-                    cols.add(self.col(g, h))
-        return cols
+    def value(self, op: LinearOperator, args: Tuple[GeneratorId, ...]) -> Element:
+        return op.apply_basis(*args)
 
 
 def derivation_rows(table: BracketTable) -> Iterator[SparseVec]:

@@ -10,7 +10,8 @@ Element grammar:
 
 Whitespace may separate tokens, but a rational is one token: none may
 follow its ``-`` or surround its ``/`` (``L[- 1]``, ``1 /2*L[0]``), nor
-stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9``.
+stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9``, at most as
+many in one run as the interpreter converts to an int (4300 by default).
 
 A lone rational is rejected with one exception: the exact input ``0``
 denotes the zero element, so the canonical printed form of every element
@@ -85,7 +86,10 @@ def _parse_digits(cur: _Cursor) -> int:
         cur.pos += 1
     if cur.pos == start:
         raise ParseError("expected digits", cur.pos)
-    return int(cur.text[start:cur.pos])
+    try:
+        return int(cur.text[start:cur.pos])
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ParseError(f"too many digits ({cur.pos - start})", start) from None
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:

@@ -66,9 +66,10 @@ class GridCoords:
 
     def interior_columns(self) -> Set[int]:
         """Coordinates never clipped by the window: superscript in the
-        interior and subscript within shift budget N - r of it."""
-        r = self.radius // 2
-        budget = self.radius - r
+        interior and subscript within ``Window.shift_budget(1)`` of it."""
+        w = Window(self.radius)
+        r = w.interior_radius
+        budget = w.shift_budget(1)
         cols: Set[int] = set()
         for name in self.families:
             for m in range(-r, r + 1):
@@ -106,7 +107,7 @@ class PropositionReport(KernelComparison):
 
 def representable_grid_shifts(w_radius: int) -> List[int]:
     """Shifts i - m fully visible on interior superscripts."""
-    budget = w_radius - w_radius // 2
+    budget = Window(w_radius).shift_budget(1)
     return list(range(-budget, budget + 1))
 
 

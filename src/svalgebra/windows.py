@@ -1,19 +1,25 @@
-"""Finite index windows, their bracket tables on integer positions, the
-Leibniz rule the derivation and biderivation checkers share, and defect reports.
+"""Finite index windows, the column layout of window maps, their bracket
+tables on integer positions, the Leibniz rule the derivation and
+biderivation checkers share, and defect reports.
 
 All solvers and checkers work on the finite slice of the algebra spanned by
 generators whose index has absolute value at most a radius N.  The interior
 radius floor(N/2) marks the sub-window on which truncation effects cannot
 reach; classification claims are always asserted on interior data only.
+A map with k arguments is encoded on ``WindowCoords`` columns (arguments,
+value generator); its interior keeps every argument within floor(N/2) and
+the value shift within ``Window.shift_budget(k)`` = N - k*floor(N/2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, gen, jacobi_defect
+from .linalg import SparseVec
 
 MAX_RECORDED = 100
 
@@ -32,25 +38,24 @@ class Window:
     def interior_radius(self) -> int:
         return self.radius // 2
 
-    def indices(self, cfg: AlgebraConfig, family: str, radius: int) -> List[Fraction]:
-        """Valid indices for one family with |index| <= radius, ascending."""
-        out: List[Fraction] = []
-        if family in ("L", "M"):
-            for i in range(-radius, radius + 1):
-                out.append(Fraction(i))
-        else:
-            # Y indices live on epsilon + ZZ
-            j = -Fraction(radius) + ((cfg.epsilon - Fraction(-radius)) % 1)
-            while j <= radius:
-                out.append(j)
-                j += 1
-        return out
+    def shift_budget(self, arity: int) -> int:
+        """Largest value shift |h - (g_1 + ... + g_k)| of a k-argument map
+        that keeps |h| <= N whenever every argument is interior."""
+        return self.radius - arity * self.interior_radius
+
+    def indices(self, cfg: AlgebraConfig, family: str) -> List[Fraction]:
+        """Valid indices for one family inside the window, ascending: Y
+        indices live on epsilon + ZZ (epsilon is 0 or 1/2), the others on ZZ."""
+        n = self.radius
+        if family == "Y" and cfg.epsilon:
+            return [i + cfg.epsilon for i in range(-n, n)]
+        return [Fraction(i) for i in range(-n, n + 1)]
 
     def generators(self, cfg: AlgebraConfig) -> List[GeneratorId]:
         """All window generators in canonical order (L block, Y block, M block)."""
         gens: List[GeneratorId] = []
         for fam in ("L", "Y", "M"):
-            for i in self.indices(cfg, fam, self.radius):
+            for i in self.indices(cfg, fam):
                 gens.append(gen(fam, i))
         return gens
 
@@ -68,6 +73,66 @@ class Window:
 
     def is_interior(self, g: GeneratorId) -> bool:
         return abs(g.index) <= self.interior_radius
+
+
+class WindowCoords:
+    """Column layout of window maps with ``arity`` arguments.
+
+    Column (g_1, ..., g_k, h) holds the h coefficient of the value at
+    (g_1, ..., g_k), lexicographic in canonical generator order.  A
+    subclass says how to read a map's value at one argument tuple.
+    """
+
+    arity = 1
+
+    def __init__(self, w: Window, cfg: AlgebraConfig):
+        self.window = w
+        self.gens: List[GeneratorId] = w.generators(cfg)
+        self.pos: Dict[GeneratorId, int] = {g: i for i, g in enumerate(self.gens)}
+        self.n = len(self.gens)
+        self.col_count = self.n ** (self.arity + 1)
+
+    def value(self, f: Any, args: Tuple[GeneratorId, ...]) -> Element:
+        raise NotImplementedError
+
+    def col(self, *gens: GeneratorId) -> int:
+        c = 0
+        for g in gens:
+            c = c * self.n + self.pos[g]
+        return c
+
+    def at(self, col: int) -> Tuple[GeneratorId, ...]:
+        out = []
+        for _ in range(self.arity + 1):
+            col, k = divmod(col, self.n)
+            out.append(self.gens[k])
+        return tuple(reversed(out))
+
+    def encode(self, f: Any) -> SparseVec:
+        """Window restriction of a map; out-of-window value terms drop."""
+        v: SparseVec = {}
+        for args in product(self.gens, repeat=self.arity):
+            base = self.col(*args) * self.n
+            for h, c in self.value(f, args).terms.items():
+                if h in self.pos:
+                    v[base + self.pos[h]] = c
+        return v
+
+    def interior_columns(self) -> Set[int]:
+        """Coordinates where window encodings of genuine solutions are
+        exact: every argument interior and the value shift within
+        ``shift_budget``, so |h| <= N is automatic and no value term of a
+        window-supported solution is clipped there."""
+        budget = self.window.shift_budget(self.arity)
+        inner = [g for g in self.gens if self.window.is_interior(g)]
+        cols = set()
+        for args in product(inner, repeat=self.arity):
+            s = sum(g.index for g in args)
+            base = self.col(*args) * self.n
+            for h in self.gens:
+                if abs(h.index - s) <= budget:
+                    cols.add(base + self.pos[h])
+        return cols
 
 
 OUTSIDE = -1

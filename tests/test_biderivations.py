@@ -276,7 +276,7 @@ class TestDecompose:
         dec = decompose_biderivation(f, w, CFG0)
         for g1 in w.interior_generators(CFG0):
             for g2 in w.interior_generators(CFG0):
-                assert dec.reassemble(g1, g2, w, CFG0) == f.value(g1, g2)
+                assert dec.reassemble(g1, g2, CFG0) == f.value(g1, g2)
 
 
 class TestWindowTensorPlumbing:

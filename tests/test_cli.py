@@ -465,6 +465,19 @@ class TestExitCodes:
             2, "", "error: expected digits (at position 2)\n"
         )
 
+    def test_usage_overlong_digit_run(self, capsys, tmp_path):
+        digits = "1" * 5000
+        assert run(capsys, "bracket", f"L[{digits}]", "L[1]") == (
+            2, "", "error: too many digits (5000) (at position 2)\n"
+        )
+        assert console_main(["bracket", f"L[{digits}]", "L[1]"]) == 2
+        capsys.readouterr()
+        path = tmp_path / "long.tensor"
+        path.write_text(f"(L[0], L[1]) -> {digits}*M[1]\n")
+        assert run(capsys, "check-biderivation", str(path), "-N", "3") == (
+            2, "", "error: line 1: too many digits (5000) (at position 0)\n"
+        )
+
     @pytest.mark.parametrize(
         "command, text",
         [

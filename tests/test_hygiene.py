@@ -1,6 +1,7 @@
-"""Package hygiene: every module of ``svalgebra`` uses the names it imports.
+"""Package hygiene: every module of ``svalgebra`` uses the names it imports,
+and the package exports exactly the names its ``__init__`` imports.
 
-A standard-library AST scan.  A name counts as used only where the code
+Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
 an attribute access); a mention in a docstring or comment does not count.
 """
@@ -43,3 +44,19 @@ def test_no_unused_imports(module):
     found = unused_imports((PACKAGE / f"{module}.py").read_text())
     unused = [f"line {line}: {name}" for line, name in found if f"{module}.{name}" not in REEXPORTED]
     assert not unused, f"{module}.py imports names it never uses: {unused}"
+
+
+def test_all_lists_the_imported_names_sorted():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+    ]
+    assert exported == sorted(imported)

@@ -111,6 +111,9 @@ def test_print_parse_roundtrip(e):
     assert parse_element(format_element(e), CFG0) == e
 
 
+_LONG = "1" * 5000  # longer than int()'s default 4300-digit limit
+
+
 class TestFileFormats:
     def test_operator_lines(self):
         text = """
@@ -177,6 +180,25 @@ class TestFileFormats:
         assert str(info.value).startswith(f"line {lineno}: expected digits")
         assert str(info.value).count("(at position") == 1
 
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (lambda t: parse_element(t, CFG0), "L[1] + L[" + _LONG + "]", 9),
+            (parse_rational, "-1/" + _LONG, 3),
+            (lambda t: parse_tensor_lines(t, CFG0), "(L[0], L[1]) -> " + _LONG + "*M[1]", 0),
+            (parse_omega_lines, "mu[1] = " + _LONG, 0),
+        ],
+        ids=["element", "rational", "tensor", "omega"],
+    )
+    def test_overlong_digit_run(self, parse, text, position):
+        # int() refuses more digits than the interpreter's limit with a bare
+        # ValueError; the parsers report it at the run's first digit
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert info.value.reason.endswith(f"too many digits ({len(_LONG)})")
+        assert info.value.reason.startswith("line 1: ") == ("->" in text or "=" in text)
+
     def test_domain_error_names_its_line(self):
         with pytest.raises(DomainError, match=r"^line 1: index 1/2 invalid"):
             parse_operator_lines("L[1] -> Y[1/2]\n", CFG0)
@@ -198,6 +220,7 @@ _UNICODE_DIGITS = st.characters(categories=("Nd", "No"))
 @example("L[\u00b2]")
 @example("L[\u0663]")
 @example("mu[\u00b2] = 1")
+@example("L[" + "1" * 5000 + "]")
 @settings(max_examples=300, deadline=None)
 def test_parsers_raise_only_their_own_errors(text):
     # malformed input is a usage error (ParseError or DomainError), never a
