@@ -87,7 +87,7 @@ class GeneratorId:
         return self._hash  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
-        return f"{self.family}[{self.index}]"
+        return f"{self.family}[{format_rational(self.index)}]"
 
 
 _GEN_CACHE: Dict[Tuple[str, Fraction], GeneratorId] = {}
@@ -193,6 +193,24 @@ class Element:
 ZERO = Element()
 
 
+def format_rational(q: Fraction) -> str:
+    """``str(q)`` at any length, for printing: an integer with more digits
+    than the interpreter converts at once is converted in slices below
+    that limit, which is left as it is."""
+    if q.denominator == 1:
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int-string limit
+        k = abs(n).bit_length() * 3 // 20  # about half the digits of n
+        hi, lo = divmod(abs(n), 10**k)
+        return "-" * (n < 0) + _digits(hi) + _digits(lo).zfill(k)
+
+
 def format_element(e: Element) -> str:
     """Canonical text form: explicit coefficients, L then Y then M, index ascending."""
     if e.is_zero:
@@ -200,11 +218,11 @@ def format_element(e: Element) -> str:
     parts = []
     for i, (g, c) in enumerate(e.iter_terms()):
         if i == 0:
-            parts.append(f"{c}*{g}")
+            parts.append(f"{format_rational(c)}*{g}")
         elif c < 0:
-            parts.append(f" - {-c}*{g}")
+            parts.append(f" - {format_rational(-c)}*{g}")
         else:
-            parts.append(f" + {c}*{g}")
+            parts.append(f" + {format_rational(c)}*{g}")
     return "".join(parts)
 
 

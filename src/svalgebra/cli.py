@@ -25,7 +25,7 @@ import traceback
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraConfig, bracket, format_element
+from .algebra import AlgebraConfig, bracket, format_element, format_rational
 from .biderivations import (
     BiderivationForm,
     biderivation_defects,
@@ -235,17 +235,12 @@ def _cmd_decompose_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Win
     except DecompositionError as exc:
         payload: Payload = {"verdict": "not-decomposable", "reason": str(exc)}
         return 1, payload, [f"not decomposable: {exc}"]
-    payload = {
-        "verdict": "decomposed",
-        "inner_part": format_element(dec.inner_part),
-        "a": str(dec.a),
-        "b": str(dec.b),
-        "c": str(dec.c),
-    }
+    a, b, c = (format_rational(q) for q in (dec.a, dec.b, dec.c))
+    payload = {"verdict": "decomposed", "inner_part": format_element(dec.inner_part), "a": a, "b": b, "c": c}
     lines = [
         "decomposed",
         f"inner part: {format_element(dec.inner_part)}",
-        f"outer coefficients: a={dec.a} b={dec.b} c={dec.c}",
+        f"outer coefficients: a={a} b={b} c={c}",
     ]
     return 0, payload, lines
 
@@ -270,9 +265,10 @@ def _cmd_match_form(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Ou
     if form is None:
         payload: Payload = {"verdict": "no-match", "lam": None, "omega": None}
         return 1, payload, ["no-match: tensor is not of the classified shape on the interior"]
-    omega = {str(k): str(v) for k, v in form.omega.items()}
-    payload = {"verdict": "matched", "lam": str(form.lam), "omega": omega}
-    lines = [f"matched: lam={form.lam}, omega={{{', '.join(f'{k}: {v}' for k, v in omega.items())}}}"]
+    lam = format_rational(form.lam)
+    omega = {str(k): format_rational(v) for k, v in form.omega.items()}
+    payload = {"verdict": "matched", "lam": lam, "omega": omega}
+    lines = [f"matched: lam={lam}, omega={{{', '.join(f'{k}: {v}' for k, v in omega.items())}}}"]
     return 0, payload, lines
 
 

@@ -6,15 +6,15 @@ Everything is computed by pivoted exact Gaussian elimination over
 for a fixed column order, so every result here is deterministic and
 independent of row insertion order.
 
-Before `kernel_basis` and `rank` eliminate, they settle single-entry rows.
-A row with one live column forces that column to zero, which may leave
-other rows with one live column in turn; a worklist over a column -> rows
-index follows these cascades in time linear in the nonzeros (the first
-step of sparse presolve: E. D. Andersen and K. D. Andersen, *Presolving in
-linear programming*, Math. Programming 71, 1995).  Only rows with two or
-more live columns reach the elimination.  A forced column is zero on
-every kernel vector and the kernel basis is the unique canonical RREF of
-the kernel, so the result is exactly that of eliminating every row.
+Every exact solve (kernel, rank, span, particular solution) goes through
+`_eliminate`, which first settles single-entry rows.  A row with one live
+column forces that column to zero, which may leave other rows with one
+live column in turn; a worklist over a column -> rows index follows these
+cascades in time linear in the nonzeros (the first step of sparse
+presolve: E. D. Andersen and K. D. Andersen, *Presolving in linear
+programming*, Math. Programming 71, 1995).  Only rows with two or more live
+columns reach the elimination.  Each result is read off a unique canonical
+form, so it is exactly that of eliminating every row.
 
 `KernelComparison` is the one test every classification here goes
 through: the exact kernel of a window's constraint matrix against the span
@@ -149,9 +149,6 @@ class _Rref:
         self._register(c, work)
         return c
 
-    def sorted_rows(self) -> List[SparseVec]:
-        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
-
 
 @dataclass(frozen=True)
 class SpanBasis:
@@ -183,14 +180,6 @@ class SpanBasis:
         return all(not _reduce(v, by_lead) for v in vs)
 
 
-def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
-    """Canonical reduced-echelon basis of the span of the given vectors."""
-    rr = _Rref()
-    for v in vectors:
-        rr.insert(v)
-    return SpanBasis(col_count=col_count, vectors=tuple(rr.sorted_rows()))
-
-
 def _eliminate(rows: Sequence[SparseVec]) -> Tuple[Set[int], _Rref]:
     """Forced-zero columns of a homogeneous system, and the RREF of the rest.
 
@@ -200,9 +189,9 @@ def _eliminate(rows: Sequence[SparseVec]) -> Tuple[Set[int], _Rref]:
     unforced columns, are eliminated exactly.  The solutions of the system
     are the vectors vanishing on the forced columns whose other columns
     solve the restricted rows, and its rank is the number of forced
-    columns plus the number of pivots.  A single-entry row of an
-    inhomogeneous system fixes a value, not a zero, so `solve_linear`
-    does not use this.
+    columns plus the number of pivots; its row space is spanned by the
+    forced columns' unit vectors and the pivot rows.  A stored zero in a
+    forcing row raises ZeroDivisionError, as a zero pivot would.
     """
     live = [len(row) for row in rows]
     rows_at: Dict[int, List[int]] = {}
@@ -216,6 +205,8 @@ def _eliminate(rows: Sequence[SparseVec]) -> Tuple[Set[int], _Rref]:
         if live[i] != 1:  # its last unforced column was forced by another row
             continue
         c = next(c for c in rows[i] if c not in forced)
+        if not rows[i][c]:
+            raise ZeroDivisionError(f"row {i} stores a zero at column {c}")
         forced.add(c)
         for j in rows_at[c]:
             live[j] -= 1
@@ -226,6 +217,16 @@ def _eliminate(rows: Sequence[SparseVec]) -> Tuple[Set[int], _Rref]:
         if n > 1:
             rr.insert(row if n == len(row) else {c: x for c, x in row.items() if c not in forced})
     return forced, rr
+
+
+def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
+    """Canonical reduced-echelon basis of the span of the given vectors:
+    the forced columns' unit vectors and `_eliminate`'s pivot rows, which
+    vanish on the forced columns."""
+    forced, rr = _eliminate(list(vectors))
+    by_lead: Dict[int, SparseVec] = {c: {c: _ONE} for c in forced}
+    by_lead.update(rr.pivots)
+    return SpanBasis(col_count=col_count, vectors=tuple(by_lead[c] for c in sorted(by_lead)))
 
 
 def rank(m: SparseMatrix) -> int:
@@ -273,26 +274,19 @@ def kernel_combinations(m: SparseMatrix, vectors: Sequence[SparseVec]) -> List[S
 def solve_linear(m: SparseMatrix, rhs: Sequence[Fraction]) -> Optional[SparseVec]:
     """One exact solution of m x = rhs with free variables set to 0.
 
-    Returns None when the system is inconsistent.  Deterministic: the
-    particular solution depends only on the row space and column order.
+    The solutions are the kernel vectors of the homogeneous [m | -rhs]
+    with last entry 1, so `_eliminate` presolves it safely: a single-entry
+    row with rhs b != 0 has two entries once augmented, and one with b = 0
+    does force its column to zero.  Returns None when the system is
+    inconsistent (the augmented column is forced or a pivot).
     """
     if len(rhs) != m.row_count:
         raise ValueError("rhs length must match row count")
     aug = m.col_count  # extra column carrying -rhs
-    rr = _Rref()
-    for row, b in zip(m.rows, rhs):
-        work = dict(row)
-        if b:
-            work[aug] = -b
-        rr.insert(work)
-    if aug in rr.pivots:
+    forced, rr = _eliminate([{**row, aug: -b} if b else row for row, b in zip(m.rows, rhs)])
+    if aug in forced or aug in rr.pivots:
         return None
-    x: SparseVec = {}
-    for lead, prow in rr.pivots.items():
-        b = prow.get(aug)
-        if b is not None:
-            x[lead] = -b
-    return x
+    return {lead: -prow[aug] for lead, prow in rr.pivots.items() if aug in prow}
 
 
 def project_columns(v: SparseVec, cols: Set[int]) -> SparseVec:

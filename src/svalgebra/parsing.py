@@ -12,6 +12,7 @@ Whitespace may separate tokens, but a rational is one token: none may
 follow its ``-`` or surround its ``/`` (``L[- 1]``, ``1 /2*L[0]``), nor
 stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9``, at most as
 many in one run as the interpreter converts to an int (4300 by default).
+The limit applies to input only: printed rationals are exact at any length.
 
 A lone rational is rejected with one exception: the exact input ``0``
 denotes the zero element, so the canonical printed form of every element

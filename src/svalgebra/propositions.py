@@ -20,8 +20,6 @@ from .windows import Window
 # ("fam", name, m, i) for grid entries, ("func", name, m) for functionals
 Label = Tuple
 
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class GridCoords:
@@ -52,17 +50,6 @@ class GridCoords:
         side = self.side
         base = len(self.families) * side * side
         return base + self.functionals.index(name) * side + (m + self.radius)
-
-    def at(self, col: int) -> Label:
-        side = self.side
-        grid = len(self.families) * side * side
-        if col < grid:
-            fi, rest = divmod(col, side * side)
-            m, i = divmod(rest, side)
-            return ("fam", self.families[fi], m - self.radius, i - self.radius)
-        col -= grid
-        fi, m = divmod(col, side)
-        return ("func", self.functionals[fi], m - self.radius)
 
     def interior_columns(self) -> Set[int]:
         """Coordinates never clipped by the window: superscript in the

@@ -1,5 +1,7 @@
 """Bracket table, element arithmetic and the Lie axioms."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from svalgebra import (
     jacobi_defect,
     validate_generator,
 )
+from svalgebra.algebra import format_rational
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -121,6 +124,49 @@ class TestElement:
 
     def test_zero_format(self):
         assert format_element(ZERO) == "0"
+
+
+def int_from_text(text):
+    """The integer a decimal string denotes, read in slices of at most 4000
+    digits, below the interpreter's 4300-digit int-string limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    assert digits == "0" or (digits and digits[0] != "0")
+    n = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i:i + 4000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * n
+
+
+class TestLongCoefficients:
+    """Rationals past the interpreter's int-string limit print exactly,
+    and the limit itself is left as it is."""
+
+    def test_small_rationals_print_as_str(self):
+        for q in (Fraction(0), Fraction(7), Fraction(-3, 2), Fraction(10**4299, 3)):
+            assert format_rational(q) == str(q)
+
+    def test_six_thousand_digit_numerators_and_denominators(self):
+        limit = sys.get_int_max_str_digits()
+        rng = random.Random(6000)
+        num = rng.randrange(10**5999, 10**6000)
+        den = rng.randrange(10**5999, 10**6000)
+        for q in (Fraction(num), Fraction(-num), Fraction(num, den), Fraction(-den, num)):
+            head, _, tail = format_rational(q).partition("/")
+            assert int_from_text(head) == q.numerator
+            assert int_from_text(tail or "1") == q.denominator
+        assert format_rational(Fraction(num, den)).count("/") == 1
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_inner_zeros_are_kept(self):
+        assert format_rational(Fraction(10**5000 + 7)) == "1" + "0" * 4999 + "7"
+        assert format_rational(Fraction(-1, 10**6000)) == "-1/1" + "0" * 6000
+
+    def test_format_element_with_long_coefficients(self):
+        q = Fraction(random.Random(1).randrange(10**5999, 10**6000), 7)
+        text = format_rational(q)
+        assert format_element(Element({L(1): q, M(-2): 1})) == f"{text}*L[1] + 1*M[-2]"
+        assert format_element(Element({L(1): 1, M(-2): -q})) == f"1*L[1] - {text}*M[-2]"
 
 
 _indices = st.integers(min_value=-4, max_value=4)

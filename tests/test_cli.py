@@ -12,6 +12,7 @@ from svalgebra import BiderivationForm, inner_derivation, operator_from_action
 from svalgebra.algebra import format_element
 from svalgebra.cli import SHOWN_VIOLATIONS, console_main, main
 from svalgebra.parsing import format_operator_lines, format_tensor_lines, parse_operator_lines, parse_tensor_lines
+from test_algebra import int_from_text
 from test_defects import _reference_biderivation_defects, _reference_derivation_defect
 
 CFG0 = AlgebraConfig(Fraction(0))
@@ -477,6 +478,48 @@ class TestExitCodes:
         assert run(capsys, "check-biderivation", str(path), "-N", "3") == (
             2, "", "error: line 1: too many digits (5000) (at position 0)\n"
         )
+
+    def test_long_coefficient_product_prints_exactly(self, capsys):
+        # both coefficients parse; their 6000-digit product is past the
+        # interpreter's int-string limit
+        c = "1" * 3000
+        argv = ["bracket", f"{c}*L[1]", f"{c}*L[2]"]
+        assert console_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("-") and out.endswith("*L[3]\n")
+        assert int_from_text(out[: -len("*L[3]\n")]) == -int(c) ** 2
+        assert console_main(argv + ["--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["verdict"] == "ok"
+        assert int_from_text(payload["result"][: -len("*L[3]")]) == -int(c) ** 2
+
+    def test_long_index_prints_exactly(self, capsys):
+        # [L[m], L[1]] = (m - 1) L[m + 1] with m = 10^4300 - 1: the index
+        # has 4301 digits
+        argv = ["bracket", f"L[{'9' * 4300}]", "L[1]"]
+        assert console_main(argv) == 0
+        want = "9" * 4299 + "8*L[1" + "0" * 4300 + "]"
+        assert capsys.readouterr() == (want + "\n", "")
+
+    def test_long_defect_keeps_the_verdict_exit_code(self, capsys, tmp_path):
+        # D(L[1]) = c L[1] with c = 10^4300 - 1: the defect at (L[-3], L[1])
+        # is 4c L[-2], whose 4301 digits are past the int-string limit
+        path = tmp_path / "long.op"
+        path.write_text(f"L[1] -> {'9' * 4300}*L[1]\n")
+        want = "3" + "9" * 4299 + "6" + "*L[-2]"
+        argv = ["check-derivation", str(path), "-N", "3"]
+        assert console_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[2] == f"  leibniz at (L[-3], L[1]): defect {want}"
+        assert console_main(argv + ["--json"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        first = json.loads(out)["violations"][0]
+        assert (first["inputs"], first["defect"]) == (["L[-3]", "L[1]"], want)
 
     @pytest.mark.parametrize(
         "command, text",

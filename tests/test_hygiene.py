@@ -1,5 +1,6 @@
 """Package hygiene: every module of ``svalgebra`` uses the names it imports,
-and the package exports exactly the names its ``__init__`` imports.
+the package exports exactly the names its ``__init__`` imports, and one
+function builds an exact elimination.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
@@ -60,3 +61,45 @@ def test_all_lists_the_imported_names_sorted():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
     ]
     assert exported == sorted(imported)
+
+
+def callers(source: str, name: str):
+    """Qualified name of the function or class around each call of ``name``
+    (plain or as an attribute), ``<module>`` for a call at top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == name) or (
+                    isinstance(func, ast.Attribute) and func.attr == name
+                ):
+                    found.append(".".join(where) or "<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_sees_nested_and_attribute_calls():
+    source = (
+        "x = _Rref()\n"
+        "class A:\n    def f(self):\n        return [linalg._Rref() for _ in ()]\n"
+        "def g():\n    def h():\n        return _Rref\n    return _Rref()\n"
+    )
+    assert callers(source, "_Rref") == ["<module>", "A.f", "g"]
+
+
+def test_one_exact_elimination_path():
+    """Every exact solve goes through the forced-zero presolve: only
+    ``linalg._eliminate`` builds an ``_Rref``."""
+    builders = [
+        f"{module}.{where}"
+        for module in MODULES + ["__init__"]
+        for where in callers((PACKAGE / f"{module}.py").read_text(), "_Rref")
+    ]
+    assert builders == ["linalg._eliminate"]

@@ -1,14 +1,16 @@
 """Sparse rational elimination, span/kernel calculus, mod-p oracle.
 
-Three references from earlier versions of the library are kept here.
-`_reference_kernel_basis` is the exact elimination over every row, as it
-was before single-entry rows were settled first; `kernel_basis` must
-return exactly its vectors.  `kernel_dimension_dense_fraction` is a
-textbook dense elimination over Fraction that shares no code with the
-library.  The reference oracle at the end of this file
-is the dense numpy Gauss-Jordan elimination the library used before its
-mod-p oracle became one sparse integer pass; the differential test
-requires both to return the same kernel dimension or raise the same error.
+References from earlier versions of the library are kept here.
+`_reference_span_basis`, `_reference_kernel_basis` and
+`_reference_solve_linear` are the exact eliminations over every row, as
+they were before single-entry rows were settled first; `span_basis`,
+`kernel_basis` and `solve_linear` must return exactly their results.
+`kernel_dimension_dense_fraction` is a textbook dense elimination over
+Fraction that shares no code with the library.  The reference oracle at
+the end of this file is the dense numpy Gauss-Jordan elimination the
+library used before its mod-p oracle became one sparse integer pass; the
+differential test requires both to return the same kernel dimension or
+raise the same error.
 """
 
 import subprocess
@@ -24,6 +26,7 @@ from svalgebra.linalg import (
     _Rref,
     _column_components,
     kernel_dimension_dense_modp,
+    solve_linear,
     vec_add_scaled,
     vec_bump,
 )
@@ -208,6 +211,26 @@ def _reference_rank(m):
     return len(_reference_rref(m).pivots)
 
 
+def _reference_span_basis(vectors, col_count):
+    rr = _Rref()
+    for v in vectors:
+        rr.insert(v)
+    return SpanBasis(col_count=col_count, vectors=tuple(dict(rr.pivots[c]) for c in sorted(rr.pivots)))
+
+
+def _reference_solve_linear(m, rhs):
+    aug = m.col_count
+    rr = _Rref()
+    for row, b in zip(m.rows, rhs):
+        work = dict(row)
+        if b:
+            work[aug] = -b
+        rr.insert(work)
+    if aug in rr.pivots:
+        return None
+    return {lead: -prow[aug] for lead, prow in rr.pivots.items() if aug in prow}
+
+
 def _reference_kernel_basis(m):
     rr = _reference_rref(m)
     pivots = rr.pivots
@@ -219,7 +242,7 @@ def _reference_kernel_basis(m):
         for lead in rr._users.get(f, ()):
             v[lead] = -pivots[lead][f]
         kernel_vecs.append(v)
-    return span_basis(kernel_vecs, m.col_count)
+    return _reference_span_basis(kernel_vecs, m.col_count)
 
 
 @st.composite
@@ -241,6 +264,74 @@ def test_kernel_equals_plain_elimination(m):
     """Settling single-entry rows first changes no vector and no rank."""
     assert kernel_basis(m).vectors == _reference_kernel_basis(m).vectors
     assert rank(m) == _reference_rank(m)
+
+
+@given(forcing_matrices())
+@settings(max_examples=200, deadline=None)
+def test_span_equals_plain_elimination(m):
+    """Read as a set of vectors, the same matrices span exactly as before."""
+    assert span_basis(m.rows, m.col_count) == _reference_span_basis(m.rows, m.col_count)
+
+
+@st.composite
+def forcing_systems(draw):
+    """Systems m x = rhs over forcing-rich rows, empty rows included, with
+    rhs = m x0 for a sparse x0 (many rows get rhs 0), then a few entries
+    bumped, which may make the system inconsistent."""
+    cols = draw(st.integers(min_value=1, max_value=10))
+    m = SparseMatrix(cols)
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        size = draw(st.sampled_from([0, 1, 1, 2, 2, 2, 3]))
+        picked = draw(st.lists(st.integers(0, cols - 1), max_size=size, unique=True))
+        m.add_row({c: draw(_entries.filter(bool)) for c in picked})
+    x0 = {c: draw(st.one_of(st.just(F(0)), _entries)) for c in range(cols)}
+    rhs = m.multiply(x0)
+    if rhs:
+        for i in draw(st.lists(st.integers(0, len(rhs) - 1), max_size=3)):
+            rhs[i] += draw(_entries)
+    return m, rhs
+
+
+@given(forcing_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_equals_plain_elimination(system):
+    """The same particular solution, or None, as eliminating [m | -rhs]
+    without settling single-entry rows first."""
+    m, rhs = system
+    x = solve_linear(m, rhs)
+    assert x == _reference_solve_linear(m, rhs)
+    if x is not None:
+        assert m.multiply(x) == rhs
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, want",
+    [
+        ([{0: F(2)}], [F(3)], {0: Fraction(3, 2)}),  # single entry, b != 0
+        ([{0: F(2)}, {0: F(1), 1: F(1)}], [F(0), F(5)], {1: F(5)}),  # b = 0 forces
+        ([{0: F(1)}, {}], [F(1), F(1)], None),  # empty row, b != 0
+        ([{0: F(1)}, {0: F(2)}], [F(1), F(3)], None),  # two forcings disagree
+        ([{0: F(1), 1: F(1)}, {1: F(1)}], [F(0), F(0)], {}),  # homogeneous
+    ],
+    ids=["single", "forced-zero", "empty", "clash", "homogeneous"],
+)
+def test_solve_presolved_rows(rows, rhs, want):
+    m = SparseMatrix(2)
+    for row in rows:
+        m.add_row(row)
+    assert solve_linear(m, rhs) == _reference_solve_linear(m, rhs) == want
+
+
+@pytest.mark.parametrize(
+    "vectors", [[{0: F(0)}], [{0: F(1)}, {0: F(1), 1: F(0)}]], ids=["alone", "after-a-cascade"]
+)
+def test_span_refuses_a_stored_zero(vectors):
+    """A stored zero is a malformed vector, never a forcing row: read as
+    one, {1: 0} would put the unit vector e_1 into the span."""
+    with pytest.raises(ZeroDivisionError):
+        span_basis(vectors, 2)
+    with pytest.raises(ZeroDivisionError):
+        _reference_span_basis(vectors, 2)
 
 
 def test_forcing_chain_settles_without_recursion():
