@@ -51,6 +51,7 @@ from .linalg import (
 )
 from .operators import (
     OUTER_DERIVATIONS,
+    DecompositionError,
     LinearOperator,
     decompose_derivation,
     derivation_rows,
@@ -348,12 +349,13 @@ def match_form(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Optional[Bideri
     from the M coefficients of the residual on interior L pairs; finally
     f must equal ``form.value`` on every ordered interior pair, which also
     rejects a residual term outside the M family and a shift read with two
-    coefficients.  Returns None on any mismatch.
+    coefficients.  Returns None on any mismatch, and raises ValueError
+    below radius 2, where the interior holds a single L generator.
     """
+    if w.radius < 2:
+        raise ValueError("form matching needs window radius >= 2")
     interior = w.interior_generators(cfg)
     l_gens = [g for g in interior if g.family == "L"]
-    if len(l_gens) < 2:
-        return None
     g1, g2 = l_gens[:2]
     lam = f.value(g1, g2).coefficient(gen("L", g1.index + g2.index)) / (
         g1.index - g2.index
@@ -404,8 +406,8 @@ def decompose_biderivation(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Bid
 
     Boundary slices are excluded: their inner parts can need generators
     outside the window, so only interior slices decompose faithfully.
-    Raises DecompositionError when some slice is not of the derivation
-    shape (f was not a biderivation on this window).
+    Raises DecompositionError, naming the first slice that is not of the
+    derivation shape, when f is not a biderivation on this window.
     """
     gens = w.generators(cfg)
     interior = w.interior_generators(cfg)
@@ -413,14 +415,19 @@ def decompose_biderivation(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Bid
     psi_action: Dict[GeneratorId, Element] = {}
     rho: Tuple[Dict[GeneratorId, Fraction], ...] = ({}, {}, {})
     theta: Tuple[Dict[GeneratorId, Fraction], ...] = ({}, {}, {})
+
+    def decompose_slice(action: Dict[GeneratorId, Element], label: str):
+        try:
+            return decompose_derivation(LinearOperator(action, label), w, cfg)
+        except DecompositionError as exc:
+            raise DecompositionError(f"{label}: {exc}; f is not a biderivation on this window") from None
+
     for x in interior:
-        slice_op = LinearOperator({g: f.value(x, g) for g in gens}, f"f({x}, .)")
-        dec = decompose_derivation(slice_op, w, cfg)
+        dec = decompose_slice({g: f.value(x, g) for g in gens}, f"f({x}, .)")
         phi_action[x] = dec.inner_part
         rho[0][x], rho[1][x], rho[2][x] = dec.a, dec.b, dec.c
     for y in interior:
-        slice_op = LinearOperator({g: f.value(g, y) for g in gens}, f"f(., {y})")
-        dec = decompose_derivation(slice_op, w, cfg)
+        dec = decompose_slice({g: f.value(g, y) for g in gens}, f"f(., {y})")
         psi_action[y] = -dec.inner_part
         theta[0][y], theta[1][y], theta[2][y] = dec.a, dec.b, dec.c
     return BiderivationDecomposition(

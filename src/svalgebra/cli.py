@@ -222,8 +222,6 @@ def _classification_outcome(dc: KernelComparison, extra: Payload) -> Outcome:
 
 
 def _cmd_solve_derivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    if w.radius < 3:
-        raise UsageError("solve-derivations needs -N >= 3")
     return _classification_outcome(classify_derivations(w, cfg), {})
 
 
@@ -252,8 +250,6 @@ def _cmd_check_biderivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Windo
 
 
 def _cmd_solve_biderivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    if w.radius < 3:
-        raise UsageError("solve-biderivations needs -N >= 3")
     bc = classify_biderivations(w, cfg)
     return _classification_outcome(bc, {"shifts": [str(k) for k in bc.shifts]})
 
@@ -273,8 +269,6 @@ def _cmd_match_form(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Ou
 
 
 def _cmd_props(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    if w.radius < 3:
-        raise UsageError("props needs -N >= 3")
     systems: Payload = {}
     lines: List[str] = []
     ok = True
@@ -299,8 +293,6 @@ def _cmd_props(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome
 
 
 def _cmd_postlie(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    if w.radius < 5:
-        raise UsageError("postlie needs -N >= 5")
     mu: Dict[int, Fraction] = {}
     for k, v in ns.mu:
         if k in mu:
@@ -344,6 +336,9 @@ _HANDLERS: Dict[str, Callable[[argparse.Namespace, AlgebraConfig, Window], Outco
     "postlie": _cmd_postlie,
 }
 
+# smallest window radius each solver or fitter can use
+_MIN_WINDOW = {"solve-derivations": 3, "solve-biderivations": 3, "props": 3, "postlie": 5, "match-form": 2}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
@@ -356,6 +351,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = AlgebraConfig(Fraction(ns.epsilon))
     w = Window(ns.window)
     try:
+        if w.radius < _MIN_WINDOW.get(ns.command, 1):
+            raise UsageError(f"{ns.command} needs -N >= {_MIN_WINDOW[ns.command]}")
         status, payload, lines = _HANDLERS[ns.command](ns, cfg, w)
     except (UsageError, ParseError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 
 Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros.
 Everything is computed by pivoted exact Gaussian elimination over
-``fractions.Fraction``; the reduced echelon form of a row space is unique
-for a fixed column order, so every result here is deterministic and
-independent of row insertion order.
+``fractions.Fraction`` into the reduced echelon form (each pivot row has
+leading entry 1 and is zero at every other leading column), which `_Rref`
+keeps after each insert, `span_basis` returns, and `_reduce` and
+`kernel_basis` rely on.  It is unique for a fixed column order, so every
+result is deterministic and independent of row insertion order.  A stored
+zero at a leading or forcing position raises ZeroDivisionError.
 
 Every exact solve (kernel, rank, span, particular solution) goes through
 `_eliminate`, which first settles single-entry rows.  A row with one live
@@ -97,39 +100,26 @@ class SparseMatrix:
 def _reduce(v: SparseVec, by_lead: Dict[int, SparseVec]) -> SparseVec:
     """Residual of v modulo a reduced echelon basis keyed by leading column.
 
-    Every pivot-column entry must be cleared, not just leading ones: a row
-    can hit pivot columns beyond its first free column.  Each subtraction
-    only introduces entries at free columns, so one pass over the hits
-    (rechecked once) settles the residual.
+    Subtracting v[c] times row c clears column c and no other leading
+    column, so one pass over v's leading-column entries settles v.  A
+    stored zero at a leading column raises ZeroDivisionError.
     """
     work = dict(v)
-    while True:
-        hits = sorted(c for c in work if c in by_lead)
-        if not hits:
-            return work
-        for c in hits:
-            cur = work.get(c)
-            if cur:
-                vec_add_scaled(work, by_lead[c], -cur)
+    for c, x in v.items():
+        if c in by_lead:
+            if not x:
+                raise ZeroDivisionError(f"stored zero at leading column {c}")
+            vec_add_scaled(work, by_lead[c], -x)
+    return work
 
 
 class _Rref:
-    """Incrementally maintained reduced row echelon form of a row space."""
+    """Incrementally maintained reduced row echelon form of a row space:
+    each insert keeps the invariant that `_reduce` relies on."""
 
     def __init__(self) -> None:
         self.pivots: Dict[int, SparseVec] = {}  # leading column -> normalized row
         self._users: Dict[int, set] = {}  # column -> leads of pivot rows touching it
-
-    def _register(self, lead: int, row: SparseVec) -> None:
-        self.pivots[lead] = row
-        for c in row:
-            self._users.setdefault(c, set()).add(lead)
-
-    def _unregister(self, lead: int, row: SparseVec) -> None:
-        for c in row:
-            users = self._users.get(c)
-            if users is not None:
-                users.discard(lead)
 
     def insert(self, row: SparseVec) -> Optional[int]:
         """Reduce a row into the form; returns the new pivot column or None."""
@@ -140,13 +130,19 @@ class _Rref:
         inv = _ONE / work[c]
         if inv != 1:
             work = {k: inv * v for k, v in work.items()}
-        # back-substitute into every pivot row containing column c
-        for lead in list(self._users.get(c, ())):
+        users = self._users
+        # back-substitute at column c: each such pivot row changes at work's columns only
+        for lead in users.pop(c, ()):
             old = self.pivots[lead]
-            self._unregister(lead, old)
             vec_add_scaled(old, work, -old[c])
-            self._register(lead, old)
-        self._register(c, work)
+            for k in work:
+                if k in old:
+                    users.setdefault(k, set()).add(lead)
+                elif k in users:  # column c itself was popped above
+                    users[k].discard(lead)
+        self.pivots[c] = work
+        for k in work:
+            users.setdefault(k, set()).add(c)
         return c
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .algebra import AlgebraConfig, Element, GeneratorId, gen
+from .algebra import AlgebraConfig, Element, GeneratorId, format_rational, gen
 
 __all__ = [
     "ParseError",
@@ -258,7 +258,8 @@ def parse_tensor_lines(text: str, cfg: AlgebraConfig) -> Dict[Tuple[GeneratorId,
 
 
 def parse_omega_lines(text: str) -> Dict[int, Fraction]:
-    """Shift-set file: `mu[k] = rational` lines, `#` comments, k an integer."""
+    """Shift-set file: `mu[k] = rational` lines, `#` comments, each integer
+    k at most once (zero values too, which are then dropped)."""
     mu: Dict[int, Fraction] = {}
     for lineno, line in _content_lines(text):
         lhs, eq, rhs = line.partition("=")
@@ -277,13 +278,12 @@ def parse_omega_lines(text: str) -> Dict[int, Fraction]:
         k = int(k_frac)
         if k in mu:
             raise ParseError(f"line {lineno}: duplicate shift {k}", 0)
-        if value:
-            mu[k] = value
-    return mu
+        mu[k] = value
+    return {k: v for k, v in mu.items() if v}
 
 
 def format_omega_lines(mu: Dict[int, Fraction]) -> str:
-    return "\n".join(f"mu[{k}] = {mu[k]}" for k in sorted(mu))
+    return "\n".join(f"mu[{k}] = {format_rational(mu[k])}" for k in sorted(mu))
 
 
 def format_operator_lines(action: Dict[GeneratorId, Element]) -> str:

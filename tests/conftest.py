@@ -4,7 +4,9 @@ The expensive window classifications are session-scoped so the unit tests
 and the acceptance tests reuse one computation.
 """
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,24 @@ def random_corpus_element(rng: random.Random, cfg: AlgebraConfig) -> Element:
         g = gen(fam, idx)
         terms[g] = terms.get(g, Fraction(0)) + coeff
     return Element(terms)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run for ``seconds``, so
+    a call that never returns fails its test instead of stalling the suite.
+    Built on SIGALRM: main thread only."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from svalgebra import (
 )
 from svalgebra.biderivations import PairCoords, predicted_biderivation_maps
 from svalgebra.linalg import kernel_dimension_dense_modp, span_basis
-from svalgebra.operators import project_columns
+from svalgebra.operators import DecompositionError, project_columns
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -252,6 +252,11 @@ class TestMatchForm:
         f.tensor[pair] = f.tensor[pair] + Element.monomial(gen("M", 1))
         assert match_form(f, w, CFG0) is None
 
+    def test_refuses_a_window_below_radius_2(self):
+        w = Window(1)
+        with pytest.raises(ValueError):
+            match_form(realize(BiderivationForm(1, {0: 1}), w, CFG0), w, CFG0)
+
     def test_rejects_non_classified_map(self):
         w = Window(4)
         zero = realize(BiderivationForm(0, {}), w, CFG0)
@@ -277,6 +282,17 @@ class TestDecompose:
         for g1 in w.interior_generators(CFG0):
             for g2 in w.interior_generators(CFG0):
                 assert dec.reassemble(g1, g2, CFG0) == f.value(g1, g2)
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps12"])
+    def test_names_the_failing_slice(self, cfg):
+        w = Window(4)
+        f = realize(BiderivationForm(Fraction(1, 2), {1: 3}), w, cfg)
+        pair = (gen("L", 0), gen("L", 1))
+        f.tensor[pair] = f.tensor[pair] + Element.monomial(gen("L", 1))
+        with pytest.raises(DecompositionError) as info:
+            decompose_biderivation(f, w, cfg)
+        assert str(info.value).startswith("f(L[0], .): ")
+        assert str(info.value).endswith("; f is not a biderivation on this window")
 
 
 class TestWindowTensorPlumbing:

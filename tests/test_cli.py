@@ -408,6 +408,16 @@ class TestExitCodes:
         assert run(capsys, "props", "-N", "2")[0] == 2
         assert run(capsys, "postlie", "-N", "4")[0] == 2
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_usage_small_window_for_match_form(self, capsys, tmp_path, as_json):
+        """At -N 1 the interior holds one L generator, so a genuine form
+        cannot be fitted: a usage problem, not a no-match verdict."""
+        path = tmp_path / "form.txt"
+        path.write_text(format_tensor_lines(realize(BiderivationForm(1, {0: 1}), Window(1), CFG0).tensor))
+        flags = ["--json"] if as_json else []
+        code, out, err = run(capsys, "match-form", str(path), "-N", "1", *flags)
+        assert (code, out, err) == (2, "", "error: match-form needs -N >= 2\n")
+
     def test_usage_bad_element(self, capsys):
         code, _, err = run(capsys, "bracket", "L[oops]", "L[1]")
         assert code == 2

@@ -1,10 +1,14 @@
 """Sparse rational elimination, span/kernel calculus, mod-p oracle.
 
 References from earlier versions of the library are kept here.
-`_reference_span_basis`, `_reference_kernel_basis` and
-`_reference_solve_linear` are the exact eliminations over every row, as
-they were before single-entry rows were settled first; `span_basis`,
-`kernel_basis` and `solve_linear` must return exactly their results.
+`_ReferenceRref` and `_reference_reduce` are the incremental reduced
+echelon form as it was before reduction relied on its own invariant: a
+fixpoint reduction over sorted leading columns, and a column index
+rebuilt for every back-substituted row.  `_reference_span_basis`,
+`_reference_kernel_basis` and `_reference_solve_linear` are the exact
+eliminations over every row on that form, as they were before
+single-entry rows were settled first; `span_basis`, `kernel_basis` and
+`solve_linear` must return exactly their results.
 `kernel_dimension_dense_fraction` is a textbook dense elimination over
 Fraction that shares no code with the library.  The reference oracle at
 the end of this file is the dense numpy Gauss-Jordan elimination the
@@ -31,6 +35,8 @@ from svalgebra.linalg import (
     vec_bump,
 )
 from svalgebra.operators import derivation_constraint_matrix
+
+from conftest import deadline
 
 
 def F(x):
@@ -200,8 +206,53 @@ def test_kernel_idempotent(m):
 # -- exact elimination over every row, as the library had it ----------------
 
 
+def _reference_reduce(v, by_lead):
+    work = dict(v)
+    while True:
+        hits = sorted(c for c in work if c in by_lead)
+        if not hits:
+            return work
+        for c in hits:
+            cur = work.get(c)
+            if cur:
+                vec_add_scaled(work, by_lead[c], -cur)
+
+
+class _ReferenceRref:
+    def __init__(self):
+        self.pivots = {}
+        self._users = {}
+
+    def _register(self, lead, row):
+        self.pivots[lead] = row
+        for c in row:
+            self._users.setdefault(c, set()).add(lead)
+
+    def _unregister(self, lead, row):
+        for c in row:
+            users = self._users.get(c)
+            if users is not None:
+                users.discard(lead)
+
+    def insert(self, row):
+        work = _reference_reduce(row, self.pivots)
+        if not work:
+            return None
+        c = min(work)
+        inv = F(1) / work[c]
+        if inv != 1:
+            work = {k: inv * v for k, v in work.items()}
+        for lead in list(self._users.get(c, ())):
+            old = self.pivots[lead]
+            self._unregister(lead, old)
+            vec_add_scaled(old, work, -old[c])
+            self._register(lead, old)
+        self._register(c, work)
+        return c
+
+
 def _reference_rref(m):
-    rr = _Rref()
+    rr = _ReferenceRref()
     for row in m.rows:
         rr.insert(row)
     return rr
@@ -212,7 +263,7 @@ def _reference_rank(m):
 
 
 def _reference_span_basis(vectors, col_count):
-    rr = _Rref()
+    rr = _ReferenceRref()
     for v in vectors:
         rr.insert(v)
     return SpanBasis(col_count=col_count, vectors=tuple(dict(rr.pivots[c]) for c in sorted(rr.pivots)))
@@ -220,7 +271,7 @@ def _reference_span_basis(vectors, col_count):
 
 def _reference_solve_linear(m, rhs):
     aug = m.col_count
-    rr = _Rref()
+    rr = _ReferenceRref()
     for row, b in zip(m.rows, rhs):
         work = dict(row)
         if b:
@@ -271,6 +322,37 @@ def test_kernel_equals_plain_elimination(m):
 def test_span_equals_plain_elimination(m):
     """Read as a set of vectors, the same matrices span exactly as before."""
     assert span_basis(m.rows, m.col_count) == _reference_span_basis(m.rows, m.col_count)
+
+
+def _users_of(pivots):
+    users = {}
+    for lead, row in pivots.items():
+        for c in row:
+            users.setdefault(c, set()).add(lead)
+    return users
+
+
+@given(st.one_of(matrices(), forcing_matrices()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rref_keeps_its_invariant_after_every_insert(m, data):
+    """After each insert: the reference's pivot rows, each with lead entry 1
+    and zero at every other lead, and a column index naming exactly the
+    pivot rows that touch each column.  Reduction by the final span agrees
+    with the reference's fixpoint reduction."""
+    rr, ref = _Rref(), _ReferenceRref()
+    for row in m.rows:
+        assert rr.insert(row) == ref.insert(row)
+        assert rr.pivots == ref.pivots
+        for lead, prow in rr.pivots.items():
+            assert min(prow) == lead and prow[lead] == 1
+            assert not any(c in prow for c in rr.pivots if c != lead)
+        assert {c: leads for c, leads in rr._users.items() if leads} == _users_of(rr.pivots)
+    s = span_basis(m.rows, m.col_count)
+    by_lead = {min(v): v for v in s.vectors}
+    for _ in range(3):
+        entries = data.draw(st.lists(_entries, min_size=m.col_count, max_size=m.col_count))
+        v = {c: x for c, x in enumerate(entries) if x}
+        assert s.reduce(v) == _reference_reduce(v, by_lead)
 
 
 @st.composite
@@ -332,6 +414,22 @@ def test_span_refuses_a_stored_zero(vectors):
         span_basis(vectors, 2)
     with pytest.raises(ZeroDivisionError):
         _reference_span_basis(vectors, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: span_basis([{0: F(1), 1: F(1)}, {0: F(0), 1: F(1), 2: F(1)}], 3),
+        lambda: span_basis([{0: F(1), 1: F(1)}], 3).contains({0: F(0), 2: F(1)}),
+    ],
+    ids=["span", "contains"],
+)
+def test_reduce_refuses_a_stored_zero_at_a_lead(call):
+    """A stored zero at a leading column is refused at once.  The reference
+    reduction never returns on it, so only the library is run, under a
+    deadline that turns a hang into a failure."""
+    with deadline(5), pytest.raises(ZeroDivisionError):
+        call()
 
 
 def test_forcing_chain_settles_without_recursion():

@@ -1,5 +1,6 @@
 """Surface syntax: element expressions and the plain-text file formats."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,26 @@ class TestFileFormats:
     def test_omega_roundtrip(self):
         mu = {0: Fraction(1), 4: Fraction(-3, 7)}
         assert parse_omega_lines(format_omega_lines(mu)) == mu
+
+    @pytest.mark.parametrize("text", ["mu[1] = 0\nmu[1] = 5", "mu[1] = 5\nmu[1] = 0"], ids=["zero-first", "zero-last"])
+    def test_omega_repeated_shift_rejected(self, text):
+        with pytest.raises(ParseError, match=r"^line 2: duplicate shift 1 "):
+            parse_omega_lines(text)
+
+    def test_omega_coefficient_past_the_digit_limit(self):
+        """Printing needs no interpreter setting; reading back a 6000-digit
+        run needs the interpreter's digit limit lifted, as any int() does."""
+        mu = {1: Fraction(10**6000 - 1)}
+        text = format_omega_lines(mu)
+        assert text == "mu[1] = " + "9" * 6000
+        with pytest.raises(ParseError, match=r"too many digits \(6000\)"):
+            parse_omega_lines(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_omega_lines(text) == mu
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParseError):
