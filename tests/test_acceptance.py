@@ -29,7 +29,7 @@ from svalgebra import (
     verify_triviality_theorem,
 )
 from svalgebra.cli import main
-from svalgebra.linalg import kernel_dimension_dense_modp, span_basis
+from svalgebra.linalg import kernel_dimension_modp, span_basis
 from svalgebra.operators import project_columns
 from svalgebra.algebra import format_element
 from svalgebra.parsing import parse_element
@@ -68,7 +68,7 @@ def test_criterion_03_derivation_kernel_on_radius4_is_101_dimensional_and_matche
     assert dc.predicted_in_kernel
     assert dc.interior_kernel_dimension == dc.interior_predicted_dimension == 17
     assert dc.mutual_membership == (True, True)
-    assert kernel_dimension_dense_modp(dc.matrix) == 101
+    assert kernel_dimension_modp(dc.matrix) == 101
 
 
 def test_criterion_04_central_shift_2017_realizes_a_symmetric_biderivation_on_radius10():
@@ -108,7 +108,7 @@ def test_criterion_06_biderivation_kernel_on_radius3_is_192_dimensional_with_mod
     assert bc.predicted_in_kernel
     assert bc.interior_match
     assert bc.mutual_membership == (True, True)
-    assert kernel_dimension_dense_modp(bc.matrix) == 192
+    assert kernel_dimension_modp(bc.matrix) == 192
 
 
 def test_criterion_07_skew_kernel_members_reduce_to_the_bracket_line_on_the_interior(

@@ -28,7 +28,7 @@ from svalgebra import (
     skew_kernel_members,
 )
 from svalgebra.biderivations import PairCoords, predicted_biderivation_maps
-from svalgebra.linalg import kernel_dimension_dense_modp, span_basis
+from svalgebra.linalg import kernel_dimension_modp, span_basis
 from svalgebra.operators import DecompositionError, project_columns
 
 CFG0 = AlgebraConfig(Fraction(0))
@@ -187,22 +187,29 @@ class TestClassification:
         assert bc.shifts == [-1, 0, 1]
 
     def test_modp_oracle(self, biderivations_n3):
-        assert kernel_dimension_dense_modp(biderivations_n3.matrix) == 192
+        assert kernel_dimension_modp(biderivations_n3.matrix) == 192
 
     def test_kernel_dimension_frozen_n4(self):
         bc = classify_biderivations(Window(4), CFG0)
         assert bc.kernel_dimension == 322
-        assert kernel_dimension_dense_modp(bc.matrix) == 322
+        assert kernel_dimension_modp(bc.matrix) == 322
         assert bc.predicted_in_kernel
         assert bc.interior_match
 
     def test_kernel_dimension_frozen_n4_half(self):
         bc = classify_biderivations(Window(4), CFG_HALF)
         assert bc.kernel_dimension == 332
-        assert kernel_dimension_dense_modp(bc.matrix) == 332
+        assert kernel_dimension_modp(bc.matrix) == 332
         assert bc.predicted_in_kernel
         assert bc.interior_match
         assert bc.interior_kernel_dimension == 2
+
+    def test_kernel_dimension_frozen_n5(self):
+        bc = classify_biderivations(Window(5), CFG0)
+        assert bc.kernel_dimension == 504
+        assert kernel_dimension_modp(bc.matrix) == 504
+        assert bc.predicted_in_kernel
+        assert bc.interior_match
 
     def test_skew_members(self, biderivations_n3):
         bc = biderivations_n3

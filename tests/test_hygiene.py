@@ -1,6 +1,7 @@
 """Package hygiene: every module of ``svalgebra`` uses the names it imports,
-the package exports exactly the names its ``__init__`` imports, and one
-function builds an exact elimination.
+the package exports exactly the names its ``__init__`` imports, one
+function builds an exact elimination, and the mod-p oracle shares only the
+forced-zero presolve with it.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
@@ -63,9 +64,10 @@ def test_all_lists_the_imported_names_sorted():
     assert exported == sorted(imported)
 
 
-def callers(source: str, name: str):
-    """Qualified name of the function or class around each call of ``name``
-    (plain or as an attribute), ``<module>`` for a call at top level."""
+def calls(source: str):
+    """(qualified name of the function or class around it, called name) for
+    each call, plain or as an attribute; ``<module>`` for a call at top
+    level."""
     found = []
 
     def visit(node, where):
@@ -75,13 +77,33 @@ def callers(source: str, name: str):
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if (isinstance(func, ast.Name) and func.id == name) or (
-                    isinstance(func, ast.Attribute) and func.attr == name
-                ):
-                    found.append(".".join(where) or "<module>")
+                if isinstance(func, ast.Name):
+                    found.append((".".join(where) or "<module>", func.id))
+                elif isinstance(func, ast.Attribute):
+                    found.append((".".join(where) or "<module>", func.attr))
             visit(child, where)
 
     visit(ast.parse(source), [])
+    return found
+
+
+def callers(source: str, name: str):
+    """Where ``name`` is called, as `calls` names the place."""
+    return [where for where, called in calls(source) if called == name]
+
+
+def reached(source: str, start: str, shared: set):
+    """Every name that ``start`` calls, directly, in a nested function or
+    through functions of the same module, without following the names in
+    ``shared``."""
+    pairs, found, todo = calls(source), set(), [start]
+    while todo:
+        f = todo.pop()
+        for where, called in pairs:
+            if (where == f or where.startswith(f + ".")) and called not in found:
+                found.add(called)
+                if called not in shared:
+                    todo.append(called)
     return found
 
 
@@ -94,6 +116,16 @@ def test_scan_sees_nested_and_attribute_calls():
     assert callers(source, "_Rref") == ["<module>", "A.f", "g"]
 
 
+def test_scan_follows_module_functions_and_stops_at_shared_ones():
+    source = (
+        "def oracle():\n    def inner():\n        return helper()\n    return shared(inner())\n"
+        "def helper():\n    return vec_add_scaled()\n"
+        "def shared():\n    return _Rref()\n"
+    )
+    assert reached(source, "oracle", {"shared"}) == {"helper", "inner", "shared", "vec_add_scaled"}
+    assert "_Rref" in reached(source, "oracle", set())
+
+
 def test_one_exact_elimination_path():
     """Every exact solve goes through the forced-zero presolve: only
     ``linalg._eliminate`` builds an ``_Rref``."""
@@ -103,3 +135,24 @@ def test_one_exact_elimination_path():
         for where in callers((PACKAGE / f"{module}.py").read_text(), "_Rref")
     ]
     assert builders == ["linalg._eliminate"]
+
+
+def test_oracle_shares_only_the_forced_pass():
+    """The forced-zero worklist is defined once, in ``linalg._forced_columns``,
+    and both eliminations call it.  Beyond it the mod-p oracle reaches none
+    of the exact elimination's code."""
+    sources = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES + ["__init__"]}
+    defined = [
+        f"{module}.{node.name}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_forced_columns"
+    ]
+    assert defined == ["linalg._forced_columns"]
+    users = sorted(
+        f"{module}.{where}" for module, source in sources.items() for where in callers(source, "_forced_columns")
+    )
+    assert users == ["linalg._eliminate", "linalg.kernel_dimension_modp"]
+    names = reached(sources["linalg"], "kernel_dimension_modp", {"_forced_columns"})
+    assert {"_forced_columns", "_rank_mod"} <= names
+    assert not names & {"_eliminate", "_Rref", "_reduce", "vec_add_scaled"}

@@ -11,15 +11,17 @@ single-entry rows were settled first; `span_basis`, `kernel_basis` and
 `solve_linear` must return exactly their results.
 `kernel_dimension_dense_fraction` is a textbook dense elimination over
 Fraction that shares no code with the library.  The reference oracle at
-the end of this file is the dense numpy Gauss-Jordan elimination the
-library used before its mod-p oracle became one sparse integer pass; the
-differential test requires both to return the same kernel dimension or
-raise the same error.
+the end of this file is the dense numpy Gauss-Jordan elimination, per
+column block, that the library used before its mod-p oracle became one
+sparse integer pass; it runs no library code, its column blocks included.
+The differential tests require it and `kernel_dimension_modp` to return
+the same kernel dimension or raise the same error.
 """
 
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -28,8 +30,8 @@ import pytest
 from svalgebra import AlgebraConfig, SparseMatrix, SpanBasis, Window, kernel_basis, rank, span_basis
 from svalgebra.linalg import (
     _Rref,
-    _column_components,
     kernel_dimension_dense_modp,
+    kernel_dimension_modp,
     solve_linear,
     vec_add_scaled,
     vec_bump,
@@ -135,8 +137,12 @@ def test_kernel_vectors_annihilated(m):
 @given(matrices())
 @settings(max_examples=40, deadline=None)
 def test_dense_modp_oracle_agrees(m):
-    """The independent dense elimination sees the same kernel dimension."""
-    assert kernel_dimension_dense_modp(m) == kernel_basis(m).dimension
+    """The independent mod-p elimination sees the same kernel dimension."""
+    assert kernel_dimension_modp(m) == kernel_basis(m).dimension
+
+
+def test_modp_oracle_keeps_its_earlier_name():
+    assert kernel_dimension_dense_modp is kernel_dimension_modp
 
 
 @st.composite
@@ -432,6 +438,37 @@ def test_reduce_refuses_a_stored_zero_at_a_lead(call):
         call()
 
 
+def _raw(col_count, *rows):
+    """A matrix built from the rows as given, not through
+    `SparseMatrix.add_row`, which drops zero entries."""
+    return SparseMatrix(col_count, rows=list(rows))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: span_basis([{0: F(1), 1: F(0)}], 2),
+        lambda: span_basis([{0: F(1), 1: F(1)}, {1: F(1), 2: F(0)}], 3),
+        lambda: span_basis([{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(0)}], 2),
+        lambda: rank(_raw(3, {0: F(1), 1: F(1), 2: F(0)})),
+        lambda: kernel_basis(_raw(3, {0: F(1), 1: F(0), 2: F(1)}, {1: F(1), 2: F(1)})),
+        lambda: solve_linear(_raw(2, {0: F(1), 1: F(0)}), [F(1)]),
+        lambda: kernel_dimension_modp(_raw(2, {0: F(2), 1: F(0)})),
+        lambda: span_basis([{0: F(1)}], 2).reduce({0: F(1), 1: F(0)}),
+        lambda: span_basis([{0: F(1)}], 2).contains({1: F(0)}),
+    ],
+    ids=["span", "span-second-row", "span-settled-row", "rank", "kernel", "solve", "modp", "reduce", "contains"],
+)
+def test_a_stored_zero_anywhere_is_refused(call):
+    """Not only at a leading or forcing position: kept, {0: 1, 1: 0} would
+    stay in the reduced echelon form, and `SpanBasis` equality would stop
+    being equality of subspaces.  Also in a row whose columns other rows
+    force, which no elimination reads, so the answer does not depend on
+    which rows happen to be read."""
+    with pytest.raises(ZeroDivisionError):
+        call()
+
+
 def test_forcing_chain_settles_without_recursion():
     """Rows {0}, {0,1}, ..., {k-1,k} in reverse order: each row is settled
     only after the one emitted after it, so a sweep over the rows would
@@ -468,7 +505,7 @@ def test_modp_oracle_reports_disagreeing_primes():
     m = SparseMatrix(1)
     m.add_row({0: F(1_000_003)})
     with pytest.raises(ArithmeticError) as exc:
-        kernel_dimension_dense_modp(m)
+        kernel_dimension_modp(m)
     assert str(exc.value) == "mod-p eliminations disagree: [1, 0, 0]"
 
 
@@ -476,7 +513,7 @@ def test_modp_oracle_refuses_a_prime_denominator():
     m = SparseMatrix(2)
     m.add_row({0: F(1), 1: Fraction(1, 1_000_033)})
     with pytest.raises(ArithmeticError) as exc:
-        kernel_dimension_dense_modp(m)
+        kernel_dimension_modp(m)
     assert str(exc.value) == "prime 1000033 divides a denominator"
 
 
@@ -545,9 +582,33 @@ def _reference_component_rank_modp(np, rows, cols, p, block=1024):
     return len(leads)
 
 
+def _reference_column_components(m):
+    """Columns partitioned into blocks joined by shared rows: root -> sorted
+    columns, root -> the nonempty rows of that block."""
+    parent = list(range(m.col_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in m.rows:
+        cols = list(row)
+        for c in cols[1:]:
+            parent[find(c)] = find(cols[0])
+    cols_by_root, rows_by_root = {}, {}
+    for c in range(m.col_count):
+        cols_by_root.setdefault(find(c), []).append(c)
+    for row in m.rows:
+        if row:
+            rows_by_root.setdefault(find(next(iter(row))), []).append(row)
+    return cols_by_root, rows_by_root
+
+
 def _reference_kernel_dimension_modp(m, primes=_PRIMES):
     np = pytest.importorskip("numpy")
-    cols_by_root, rows_by_root = _column_components(m)
+    cols_by_root, rows_by_root = _reference_column_components(m)
     dims = []
     for p in primes:
         rank_p = 0
@@ -597,4 +658,44 @@ def modp_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_modp_oracle_agrees_with_dense_reference(m):
     """Same kernel dimension, or the same error, as the dense numpy oracle."""
-    assert _outcome(kernel_dimension_dense_modp, m) == _outcome(_reference_kernel_dimension_modp, m)
+    assert _outcome(kernel_dimension_modp, m) == _outcome(_reference_kernel_dimension_modp, m)
+
+
+# non-units mod the product of the primes: multiples of one prime or of two
+_non_units = st.builds(
+    lambda ps, k: F(k * prod(ps)),
+    st.sampled_from([(p,) for p in _PRIMES] + [(p, r) for p in _PRIMES for r in _PRIMES if p < r]),
+    st.sampled_from([-2, -1, 1, 2, 3]),
+)
+_forcing_entries = st.one_of(_entries.filter(bool), _non_units)
+
+
+@st.composite
+def modp_forcing_matrices(draw):
+    """Matrices whose single-entry rows force cascades: single-entry rows,
+    links {c, d} that force d once c is forced, and a few wider rows.  The
+    entry a row can be forced through is a non-unit about half the time, so
+    the per-prime fallback and a disagreement are reached through the
+    forced pass, as is a prime in a denominator of a wider row."""
+    cols = draw(st.integers(min_value=1, max_value=8))
+    m = SparseMatrix(cols)
+    column = st.integers(0, cols - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        shape = draw(st.sampled_from(["single", "single", "link", "link", "link", "wide"]))
+        if shape == "single":
+            m.add_row({draw(column): draw(_forcing_entries)})
+        elif shape == "link" and cols > 1:
+            c, d = draw(st.lists(column, min_size=2, max_size=2, unique=True))
+            m.add_row({c: draw(_modp_entries.filter(bool)), d: draw(_forcing_entries)})
+        else:
+            picked = draw(st.lists(column, min_size=1, max_size=4, unique=True))
+            m.add_row({c: draw(_modp_entries.filter(bool)) for c in picked})
+    return m
+
+
+@given(modp_forcing_matrices())
+@settings(max_examples=200, deadline=None)
+def test_modp_presolve_agrees_with_dense_reference(m):
+    """Through forcing cascades with unit and non-unit forcing entries: the
+    same kernel dimension, or the same error, as the dense numpy oracle."""
+    assert _outcome(kernel_dimension_modp, m) == _outcome(_reference_kernel_dimension_modp, m)

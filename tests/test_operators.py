@@ -21,7 +21,7 @@ from svalgebra import (
     operator_from_action,
     predicted_derivation_operators,
 )
-from svalgebra.linalg import SparseMatrix, kernel_dimension_dense_modp, solve_linear, vec_bump
+from svalgebra.linalg import SparseMatrix, kernel_dimension_modp, solve_linear, vec_bump
 from svalgebra.operators import DerivationDecomposition
 
 CFG0 = AlgebraConfig(Fraction(0))
@@ -117,7 +117,7 @@ class TestClassification:
 
     def test_modp_oracle_window3(self):
         dc = classify_derivations(Window(3), CFG0)
-        assert kernel_dimension_dense_modp(dc.matrix) == 71
+        assert kernel_dimension_modp(dc.matrix) == 71
 
     def test_predicted_count(self):
         # every ad g except the central one, plus the three outer maps
