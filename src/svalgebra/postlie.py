@@ -7,8 +7,13 @@ all ordered pairs of window generators.  Three axioms are checked:
   axiom-6:  [x, y] * z = x * (y * z) - y * (x * z)
   axiom-7:  x * [y, z] = [x * y, z] + [y, x * z]
 
-Axiom checks compare full elements; a stored product value may stick out of
-the window and still enters the comparison exactly.  An axiom instance is
+Axiom checks run on integer positions (``AxiomCheck``) and are exact: the
+full check scales every window value by the lcm s of its denominators and
+every bracket coefficient by the lcm t of theirs (t = 2 when the values lie
+on the lattice), so it computes an axiom-5 defect as s times the rational
+one, axiom-6 as t*s*s and axiom-7 as t*s, and turns a violation back into
+a full rational element.  A stored product value may stick out of the
+window and still enters the comparison exactly.  An axiom instance is
 skipped only when it cannot be evaluated from window data: axiom-6 needs
 [x, y], y * z and x * z inside the window (the product accepts only window
 arguments), axiom-7 needs [y, z] inside the window.  Axiom-5 instances are
@@ -20,9 +25,10 @@ parameter choice breaks one of the axioms, and `triviality_witness` returns
 the breaking instance together with its exact residual in closed form.
 `verify_triviality_theorem` sweeps a fixed parameter grid and replays each
 witness through the generic axiom evaluator, so the closed form and the
-checker must agree term by term.  The replay reads only the product values
-the instance needs, on demand from ``BiderivationForm.value``; the full
-check `postlie_axiom_defects` tabulates the product once.
+checker must agree term by term.  The replay runs the same per-instance
+evaluation with rational coefficients and reads only the product values
+and brackets the instance needs, on demand from ``BiderivationForm.value``;
+the full check `postlie_axiom_defects` tabulates the product once.
 
 `solve_postlie_window` is an independent brute-force cross-check.  It treats
 the product tensor itself as the unknown and works with the windowed axiom
@@ -42,14 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from math import lcm
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import (
     AlgebraConfig,
     Element,
     GeneratorId,
-    ZERO,
-    bracket,
     bracket_basis,
     format_element,
     gen,
@@ -61,8 +66,16 @@ from .biderivations import (
     identity2_rows,
     realize,
 )
-from .linalg import SparseMatrix, SparseVec, kernel_basis, kernel_combinations, project_columns, span_basis
-from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
+from .linalg import (
+    SparseMatrix,
+    SparseVec,
+    kernel_basis,
+    kernel_combinations,
+    project_columns,
+    span_basis,
+    vec_bump,
+)
+from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window, scaled_terms
 
 ProductLike = Union[BilinearMap, BiderivationForm]
 Values = Callable[[GeneratorId, GeneratorId], Element]
@@ -97,59 +110,162 @@ def _product_values(p: ProductLike, w: Window, cfg: AlgebraConfig) -> Values:
     return value
 
 
-def _left_product(f: Values, e: Element, z: GeneratorId) -> Element:
-    # e * z for window-supported e
-    out = ZERO
-    for b, c in e.terms.items():
-        out = out + f(b, z).scaled(c)
-    return out
+# Key stride of a check that reads on demand, where any generator can be an
+# argument: it only has to exceed every position.
+_ON_DEMAND_STRIDE = 1 << 32
 
 
-def _right_product(f: Values, x: GeneratorId, e: Element) -> Element:
-    # x * e for window-supported e
-    out = ZERO
-    for b, c in e.terms.items():
-        out = out + f(x, b).scaled(c)
-    return out
+class _OnDemand(dict):
+    """A dict that fills a missing key a * _ON_DEMAND_STRIDE + b with fill(a, b)."""
+
+    def __init__(self, fill: Callable[[int, int], Any]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, k: int) -> Any:
+        v = self[k] = self.fill(*divmod(k, _ON_DEMAND_STRIDE))
+        return v
 
 
-def _axiom5_defect(f: Values, a: GeneratorId, b: GeneratorId) -> Element:
-    return f(a, b) - f(b, a)
+class AxiomCheck:
+    """The axioms of one product, evaluated on integer positions.
 
+    Positions number generators as they are met: as an argument, in a
+    value or as a bracket target.  With k the key stride,
+    ``vals[a * k + b]`` holds the value a * b as (position, coefficient)
+    terms in term order, ``closed`` at the same key whether every term lies
+    within the window radius, and ``table[h * k + g]`` the bracket [g, h]
+    as None or (target position, coefficient).
 
-def _axiom6_defect(
-    f: Values,
-    x: GeneratorId,
-    y: GeneratorId,
-    z: GeneratorId,
-    w: Window,
-    cfg: AlgebraConfig,
-) -> Optional[Element]:
-    br = bracket_basis(x, y, cfg)
-    if not w.contains_element(br):
-        return None
-    yz = f(y, z)
-    xz = f(x, z)
-    if not (w.contains_element(yz) and w.contains_element(xz)):
-        return None
-    return _left_product(f, br, z) - _right_product(f, x, yz) + _right_product(f, y, xz)
+    A new check reads values and brackets on demand with rational
+    coefficients, so one instance reads only what it needs and a form is
+    never realized.  `tabulate` gives the n window generators positions
+    0..n-1 and reads every window value.  Unless a value term lies within
+    the radius without being a window generator, it then replaces the
+    tables by integer lists with k = n: values scaled by the lcm s of their
+    denominators (``windows.scaled_terms``), brackets by the lcm t of
+    theirs (2 when every value term lies on the lattice).  Each defect is
+    exactly a fixed multiple of the rational one: s for axiom-5, t*s*s for
+    axiom-6 and t*s for axiom-7 (s = t = 1 on demand).  Values are read in
+    the order the axiom formulas read them, so a product undefined on a
+    pair raises its KeyError at the same pair in both modes.
+    """
 
+    def __init__(self, p: ProductLike, w: Window, cfg: AlgebraConfig):
+        read = _product_values(p, w, cfg)
+        order: List[GeneratorId] = []
+        pos: Dict[GeneratorId, int] = {}
+        inside: List[bool] = []
 
-def _axiom7_defect(
-    f: Values,
-    x: GeneratorId,
-    y: GeneratorId,
-    z: GeneratorId,
-    w: Window,
-    cfg: AlgebraConfig,
-) -> Optional[Element]:
-    br = bracket_basis(y, z, cfg)
-    if not w.contains_element(br):
-        return None
-    left = _right_product(f, x, br)
-    right = bracket(f(x, y), Element.monomial(z, _ONE), cfg)
-    right = right + bracket(Element.monomial(y, _ONE), f(x, z), cfg)
-    return left - right
+        # The fills below close over these lists, never over the check, so
+        # a dropped check is freed at once and not left to the cycle
+        # collector: a sweep makes one check per replay.
+        def position(g: GeneratorId) -> int:
+            p = pos.get(g)
+            if p is None:
+                p = pos[g] = len(order)
+                order.append(g)
+                inside.append(w.contains(g))
+            return p
+
+        def value(a: int, b: int) -> List[Tuple[int, Fraction]]:
+            return [(position(h), c) for h, c in read(order[a], order[b]).terms.items()]
+
+        def bracket_entry(h: int, g: int) -> Optional[Tuple[int, Fraction]]:
+            terms = bracket_basis(order[g], order[h], cfg).terms
+            if not terms:
+                return None
+            ((target, c),) = terms.items()
+            return position(target), c
+
+        def closed(a: int, b: int) -> bool:
+            return all(inside[h] for h, _ in vals[a * _ON_DEMAND_STRIDE + b])
+
+        vals = _OnDemand(value)
+        self.window, self.cfg, self.read = w, cfg, read
+        self.order, self.pos, self.inside = order, pos, inside
+        self.position, self.bracket_entry = position, bracket_entry
+        self.stride = _ON_DEMAND_STRIDE
+        self.vals: Any = vals
+        self.closed: Any = _OnDemand(closed)
+        self.table: Any = _OnDemand(bracket_entry)
+        self.s = self.t = 1
+
+    def tabulate(self) -> List[GeneratorId]:
+        """Read every window value, in canonical pair order, and switch to
+        integer tables where the window data allow it.  Call it on a new
+        check; returns the window generators, at positions 0..n-1."""
+        gens = self.window.generators(self.cfg)
+        n, pos, inside = len(gens), self.pos, self.inside
+        for g in gens:
+            self.position(g)
+        values = [self.read(a, b).terms for a in gens for b in gens]
+        if any(self.window.contains(g) and pos.get(g, n) >= n for terms in values for g in terms):
+            return gens  # x * g for such a g is no window value: read it on demand
+        s, vals = scaled_terms(values, self.position)
+        table = [self.bracket_entry(h, g) for h in range(len(self.order)) for g in range(n)]
+        t = lcm(*(e[1].denominator for e in table if e is not None))
+        self.table = [None if e is None else (e[0], e[1].numerator * (t // e[1].denominator)) for e in table]
+        self.vals = vals
+        self.closed = [all(inside[h] for h, _ in v) for v in vals]
+        self.stride, self.s, self.t = n, s, t
+        return gens
+
+    def element(self, defect: Dict[int, Any], axiom: str) -> Element:
+        """The rational element of a defect of the given axiom."""
+        s, t, order = self.s, self.t, self.order
+        scale = {AXIOM_COMMUTATIVITY: s, AXIOM_WEIGHTED_LEIBNIZ: t * s * s, AXIOM_BRACKET_DERIVATION: t * s}[axiom]
+        return Element({order[h]: Fraction(c, scale) for h, c in defect.items()})
+
+    def commutativity(self, a: int, b: int) -> Dict[int, Any]:
+        """a * b - b * a, scaled."""
+        vals, k = self.vals, self.stride
+        acc = dict(vals[a * k + b])
+        for h, c in vals[b * k + a]:
+            vec_bump(acc, h, -c)
+        return acc
+
+    def weighted_leibniz(self, x: int, y: int, z: int) -> Optional[Dict[int, Any]]:
+        """[x, y] * z - x * (y * z) + y * (x * z), scaled; None when [x, y],
+        y * z or x * z leaves the window radius."""
+        vals, k = self.vals, self.stride
+        e = self.table[y * k + x]
+        if e is not None and not self.inside[e[0]]:
+            return None
+        yz, xz = y * k + z, x * k + z
+        # both values are read before either is tested, as the formula reads them
+        closed_yz, closed_xz = self.closed[yz], self.closed[xz]
+        if not (closed_yz and closed_xz):
+            return None
+        acc: Dict[int, Any] = {}
+        if e is not None:
+            target, c = e
+            c *= self.s
+            acc = {h: c * d for h, d in vals[target * k + z]}
+        for left, right, sign in ((x, yz, -self.t), (y, xz, self.t)):
+            for h, c in vals[right]:
+                for g, d in vals[left * k + h]:
+                    vec_bump(acc, g, sign * c * d)
+        return acc
+
+    def bracket_derivation(self, x: int, y: int, z: int) -> Optional[Dict[int, Any]]:
+        """x * [y, z] - [x * y, z] - [y, x * z], scaled; None when [y, z]
+        leaves the window radius."""
+        vals, table, k = self.vals, self.table, self.stride
+        e = table[z * k + y]
+        if e is not None and not self.inside[e[0]]:
+            return None
+        acc: Dict[int, Any] = {}
+        if e is not None:
+            target, c = e
+            acc = {h: c * d for h, d in vals[x * k + target]}
+        # -[x * y, z] = [z, x * y], then -[y, x * z]
+        for value, g, sign in ((x * k + y, z, 1), (x * k + z, y, -1)):
+            for h, d in vals[value]:
+                b = table[h * k + g]
+                if b is not None:
+                    vec_bump(acc, b[0], sign * d * b[1])
+        return acc
 
 
 def axiom_defect(
@@ -162,21 +278,25 @@ def axiom_defect(
     """Defect of one axiom instance at the given ordered inputs.
 
     Returns None when the instance is not evaluable on the window.  This is
-    the same per-instance evaluation the full checker runs, so a value here
-    is exactly the entry `postlie_axiom_defects` would report.  A form is
-    not realized: only the values the instance reads are evaluated.
+    the same per-instance evaluation the full checker runs (``AxiomCheck``),
+    so a value here is exactly the entry `postlie_axiom_defects` would
+    report.  A form is not realized: only the values and brackets the
+    instance reads are evaluated, with rational coefficients.
     """
-    f = _product_values(p, w, cfg)
+    chk = AxiomCheck(p, w, cfg)
+    args = [chk.position(g) for g in inputs]
     if axiom == AXIOM_COMMUTATIVITY:
-        a, b = inputs
-        return _axiom5_defect(f, a, b)
-    if axiom == AXIOM_WEIGHTED_LEIBNIZ:
-        x, y, z = inputs
-        return _axiom6_defect(f, x, y, z, w, cfg)
-    if axiom == AXIOM_BRACKET_DERIVATION:
-        x, y, z = inputs
-        return _axiom7_defect(f, x, y, z, w, cfg)
-    raise ValueError(f"unknown axiom tag {axiom!r}")
+        a, b = args
+        d = chk.commutativity(a, b)
+    elif axiom == AXIOM_WEIGHTED_LEIBNIZ:
+        x, y, z = args
+        d = chk.weighted_leibniz(x, y, z)
+    elif axiom == AXIOM_BRACKET_DERIVATION:
+        x, y, z = args
+        d = chk.bracket_derivation(x, y, z)
+    else:
+        raise ValueError(f"unknown axiom tag {axiom!r}")
+    return None if d is None else chk.element(d, axiom)
 
 
 def postlie_axiom_defects(
@@ -190,46 +310,47 @@ def postlie_axiom_defects(
     Axiom-5 runs on all unordered pairs (the diagonal is trivially
     symmetric), axioms 6 and 7 on all evaluable triples; each violation is
     tagged with its axiom.  Defects are full elements, not projections.
+    Raises KeyError when the product is undefined on a window pair.
     """
-    f = materialize_product(p, w, cfg).value
-    gens = w.generators(cfg)
-    for a in gens:
-        for b in gens:
-            f(a, b)  # total on the window or KeyError
+    chk = AxiomCheck(p, w, cfg)
+    gens = chk.tabulate()
+    n = len(gens)
     rep = DefectReport(max_recorded=max_recorded)
 
     pairs = 0
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
+    for a in range(n):
+        for b in range(a + 1, n):
             pairs += 1
-            d = _axiom5_defect(f, a, b)
-            if d.terms:
-                rep.record((a, b), d, AXIOM_COMMUTATIVITY)
+            d = chk.commutativity(a, b)
+            if d:
+                rep.record((gens[a], gens[b]), chk.element(d, AXIOM_COMMUTATIVITY), AXIOM_COMMUTATIVITY)
     rep.tick(pairs)
 
     # axiom-6 is antisymmetric in (x, y), axiom-7 in (y, z): unordered there
     closed = 0
-    for i, x in enumerate(gens):
-        for y in gens[i + 1:]:
-            for z in gens:
-                d = _axiom6_defect(f, x, y, z, w, cfg)
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(n):
+                d = chk.weighted_leibniz(x, y, z)
                 if d is None:
                     continue
                 closed += 1
-                if d.terms:
-                    rep.record((x, y, z), d, AXIOM_WEIGHTED_LEIBNIZ)
+                if d:
+                    inputs = (gens[x], gens[y], gens[z])
+                    rep.record(inputs, chk.element(d, AXIOM_WEIGHTED_LEIBNIZ), AXIOM_WEIGHTED_LEIBNIZ)
     rep.tick(closed)
 
     closed = 0
-    for x in gens:
-        for j, y in enumerate(gens):
-            for z in gens[j + 1:]:
-                d = _axiom7_defect(f, x, y, z, w, cfg)
+    for x in range(n):
+        for y in range(n):
+            for z in range(y + 1, n):
+                d = chk.bracket_derivation(x, y, z)
                 if d is None:
                     continue
                 closed += 1
-                if d.terms:
-                    rep.record((x, y, z), d, AXIOM_BRACKET_DERIVATION)
+                if d:
+                    inputs = (gens[x], gens[y], gens[z])
+                    rep.record(inputs, chk.element(d, AXIOM_BRACKET_DERIVATION), AXIOM_BRACKET_DERIVATION)
     rep.tick(closed)
     return rep
 

@@ -3,20 +3,27 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from svalgebra import (
     AXIOM_BRACKET_DERIVATION,
     AXIOM_COMMUTATIVITY,
     AXIOM_WEIGHTED_LEIBNIZ,
+    ZERO,
     AlgebraConfig,
     BiderivationForm,
+    DefectReport,
     Element,
     PostLieAxiomError,
     Window,
     axiom_defect,
+    bilinear_map_on_window,
     biderivation_defects,
     biderivation_from_postlie,
+    bracket,
+    bracket_basis,
     gen,
     materialize_product,
     postlie_axiom_defects,
@@ -25,7 +32,8 @@ from svalgebra import (
     triviality_witness,
     verify_triviality_theorem,
 )
-from svalgebra.postlie import _sweep_forms
+from svalgebra.postlie import _product_values, _sweep_forms
+from svalgebra.windows import MAX_RECORDED
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -253,3 +261,264 @@ class TestBruteSolve:
         rep = verify_triviality_theorem(Window(5), CFG0, brute=Window(3))
         assert rep.all_ok
         assert rep.brute is not None and rep.brute.conclusive
+
+
+# -- the Element-based checker, kept as the reference ------------------------
+# A verbatim copy of the helpers that evaluated each instance on Element
+# objects with Fraction arithmetic before the checker moved onto integer
+# positions (``postlie.AxiomCheck``).
+
+
+def _left_product(f, e, z):
+    # e * z for window-supported e
+    out = ZERO
+    for b, c in e.terms.items():
+        out = out + f(b, z).scaled(c)
+    return out
+
+
+def _right_product(f, x, e):
+    # x * e for window-supported e
+    out = ZERO
+    for b, c in e.terms.items():
+        out = out + f(x, b).scaled(c)
+    return out
+
+
+def _axiom5_defect(f, a, b):
+    return f(a, b) - f(b, a)
+
+
+def _axiom6_defect(f, x, y, z, w, cfg):
+    br = bracket_basis(x, y, cfg)
+    if not w.contains_element(br):
+        return None
+    yz = f(y, z)
+    xz = f(x, z)
+    if not (w.contains_element(yz) and w.contains_element(xz)):
+        return None
+    return _left_product(f, br, z) - _right_product(f, x, yz) + _right_product(f, y, xz)
+
+
+def _axiom7_defect(f, x, y, z, w, cfg):
+    br = bracket_basis(y, z, cfg)
+    if not w.contains_element(br):
+        return None
+    left = _right_product(f, x, br)
+    right = bracket(f(x, y), Element.monomial(z, Fraction(1)), cfg)
+    right = right + bracket(Element.monomial(y, Fraction(1)), f(x, z), cfg)
+    return left - right
+
+
+def _reference_axiom_defect(p, axiom, inputs, w, cfg):
+    f = _product_values(p, w, cfg)
+    if axiom == AXIOM_COMMUTATIVITY:
+        a, b = inputs
+        return _axiom5_defect(f, a, b)
+    if axiom == AXIOM_WEIGHTED_LEIBNIZ:
+        x, y, z = inputs
+        return _axiom6_defect(f, x, y, z, w, cfg)
+    if axiom == AXIOM_BRACKET_DERIVATION:
+        x, y, z = inputs
+        return _axiom7_defect(f, x, y, z, w, cfg)
+    raise ValueError(f"unknown axiom tag {axiom!r}")
+
+
+def _reference_postlie_axiom_defects(p, w, cfg, max_recorded=MAX_RECORDED):
+    f = materialize_product(p, w, cfg).value
+    gens = w.generators(cfg)
+    for a in gens:
+        for b in gens:
+            f(a, b)  # total on the window or KeyError
+    rep = DefectReport(max_recorded=max_recorded)
+
+    pairs = 0
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            pairs += 1
+            d = _axiom5_defect(f, a, b)
+            if d.terms:
+                rep.record((a, b), d, AXIOM_COMMUTATIVITY)
+    rep.tick(pairs)
+
+    # axiom-6 is antisymmetric in (x, y), axiom-7 in (y, z): unordered there
+    closed = 0
+    for i, x in enumerate(gens):
+        for y in gens[i + 1:]:
+            for z in gens:
+                d = _axiom6_defect(f, x, y, z, w, cfg)
+                if d is None:
+                    continue
+                closed += 1
+                if d.terms:
+                    rep.record((x, y, z), d, AXIOM_WEIGHTED_LEIBNIZ)
+    rep.tick(closed)
+
+    closed = 0
+    for x in gens:
+        for j, y in enumerate(gens):
+            for z in gens[j + 1:]:
+                d = _axiom7_defect(f, x, y, z, w, cfg)
+                if d is None:
+                    continue
+                closed += 1
+                if d.terms:
+                    rep.record((x, y, z), d, AXIOM_BRACKET_DERIVATION)
+    rep.tick(closed)
+    return rep
+
+
+def _outcome(call, *args):
+    """A call's result, or its KeyError as ("KeyError", message)."""
+    try:
+        return call(*args)
+    except KeyError as exc:
+        return ("KeyError", str(exc))
+
+
+def assert_same_axiom_report(p, w, cfg, max_recorded=MAX_RECORDED):
+    want = _outcome(_reference_postlie_axiom_defects, p, w, cfg, max_recorded)
+    got = _outcome(postlie_axiom_defects, p, w, cfg, max_recorded)
+    if isinstance(want, tuple):
+        assert got == want
+        return None
+    assert (got.checked, got.total) == (want.checked, want.total)
+    assert got.violations == want.violations
+    return got
+
+
+def assert_same_instance(p, axiom, inputs, w, cfg):
+    want = _outcome(_reference_axiom_defect, p, axiom, inputs, w, cfg)
+    got = _outcome(axiom_defect, p, axiom, inputs, w, cfg)
+    assert got == want, (axiom, inputs)
+    return got
+
+
+class TestFixedProductsMatchReference:
+    """The zero, λ=1, λ=1/2, λ=-2/3 plus two shifts and {3: 2017} products
+    at N=5: every report field, every violation in order, and the
+    single-instance replay of recorded violations."""
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            BiderivationForm(0, {}),
+            BiderivationForm(1, {}),
+            BiderivationForm(Fraction(1, 2), {}),
+            BiderivationForm(Fraction(-2, 3), {-1: Fraction(5, 7), 0: 3}),
+            BiderivationForm(0, {3: 2017}),
+        ],
+        ids=["zero", "lam1", "lam_half", "lam_mixed_shifts", "shift2017"],
+    )
+    def test_every_violation(self, form, cfg):
+        w = Window(5)
+        rep = assert_same_axiom_report(form, w, cfg, max_recorded=10**9)
+        for v in rep.violations[::7]:
+            assert axiom_defect(form, v.rule, v.inputs, w, cfg) == v.defect
+
+    def test_small_cap_keeps_the_first_violations_in_order(self):
+        w = Window(5)
+        form = BiderivationForm(Fraction(1, 2), {-1: 3})
+        full = assert_same_axiom_report(form, w, CFG0, max_recorded=10**9)
+        capped = assert_same_axiom_report(form, w, CFG0, max_recorded=7)
+        assert {v.rule for v in full.violations} == {AXIOM_COMMUTATIVITY, AXIOM_WEIGHTED_LEIBNIZ}
+        assert capped.total == full.total > 7
+        assert capped.violations == full.violations[:7]
+
+
+_coefficients = st.builds(
+    Fraction,
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from([1, 1, 2, 3, 4, 6, 7, 1000003]),
+)
+
+
+@st.composite
+def value_terms(draw, cfg, radius):
+    """1-3 terms: lattice generators with |index| up to 2N+3 (some leave
+    the window), and now and then one off the lattice, such as Y[1/3] at
+    epsilon 0, inside or outside the window radius."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        fam = draw(st.sampled_from("LYM"))
+        idx = Fraction(draw(st.integers(-2 * radius - 3, 2 * radius + 3)))
+        if fam == "Y":
+            idx += cfg.epsilon
+        if draw(st.integers(0, 9)) == 0:
+            idx += draw(st.sampled_from([Fraction(1, 3), Fraction(1, 7), Fraction(-1, 2)]))
+        terms[gen(fam, idx)] = draw(_coefficients)
+    return Element(terms)
+
+
+@st.composite
+def post_lie_products(draw):
+    """A window map at N=3..5, either parity: half the time a realized form,
+    else zero, with a few entries replaced by drawn values or by zero."""
+    w = Window(draw(st.sampled_from([3, 4, 5])))
+    cfg = AlgebraConfig(draw(st.sampled_from([Fraction(0), Fraction(1, 2)])))
+    gens = w.generators(cfg)
+    mapping = {}
+    if draw(st.booleans()):
+        lam = draw(_coefficients | st.just(Fraction(0)))
+        mu = {k: draw(_coefficients) for k in draw(st.lists(st.integers(-2, 2), max_size=2, unique=True))}
+        mapping.update(realize(BiderivationForm(lam, mu), w, cfg).tensor)
+    pairs = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+    for _ in range(draw(st.integers(0, 5))):
+        mapping[draw(pairs)] = draw(value_terms(cfg, w.radius))
+    for _ in range(draw(st.integers(0, 3))):
+        mapping[draw(pairs)] = ZERO
+    f = bilinear_map_on_window(mapping, w, cfg, label="drawn")
+    instances = [
+        (AXIOM_COMMUTATIVITY, (draw(st.sampled_from(gens)), draw(st.sampled_from(gens))))
+    ] + [
+        (draw(st.sampled_from([AXIOM_WEIGHTED_LEIBNIZ, AXIOM_BRACKET_DERIVATION])), draw(st.tuples(*[st.sampled_from(gens)] * 3)))
+        for _ in range(4)
+    ]
+    return f, w, cfg, draw(st.sampled_from([1, 3, MAX_RECORDED])), instances
+
+
+@given(post_lie_products())
+@settings(max_examples=20, deadline=None)
+def test_drawn_products_match_reference(case):
+    f, w, cfg, cap, instances = case
+    assert_same_axiom_report(f, w, cfg, max_recorded=cap)
+    for axiom, inputs in instances:
+        assert_same_instance(f, axiom, inputs, w, cfg)
+
+
+class TestOffLatticeBrackets:
+    """Value generators off the lattice bracket with window generators at
+    coefficients that are not half-integers; both checkers stay exact."""
+
+    def test_outside_the_radius_goes_through_the_integer_tables(self):
+        # [L[1], Y[22/7]] = -37/14 Y[29/7] and [Y[0], L[10/3]] = -5/3 Y[10/3]
+        w = Window(3)
+        odd = Element({gen("Y", Fraction(22, 7)): 3, gen("L", Fraction(10, 3)): Fraction(-1, 2)})
+        f = bilinear_map_on_window({(gen("L", 2), gen("L", -1)): odd}, w, CFG0)
+        rep = assert_same_axiom_report(f, w, CFG0, max_recorded=10**9)
+        seven = [v for v in rep.violations if v.rule == AXIOM_BRACKET_DERIVATION and any(c.denominator % 7 == 0 for c in v.defect.terms.values())]
+        assert seven
+        inputs = (gen("L", 2), gen("L", -1), gen("L", 1))
+        d = assert_same_instance(f, AXIOM_BRACKET_DERIVATION, inputs, w, CFG0)
+        assert d.coefficient(gen("Y", Fraction(29, 7))) == 3 * Fraction(-37, 14)
+
+    def test_inside_the_radius_replays_exactly(self):
+        # -[Y[1/7], L[2]] = 6/7 Y[15/7]; the full check reads f(x, Y[1/7])
+        # and so raises the map's KeyError, as it always did
+        w = Window(3)
+        f = bilinear_map_on_window({(gen("L", 1), gen("L", 1)): Element({gen("Y", Fraction(1, 7)): 1})}, w, CFG0)
+        d = assert_same_instance(f, AXIOM_BRACKET_DERIVATION, (gen("L", 1), gen("L", 1), gen("L", 2)), w, CFG0)
+        assert d.coefficient(gen("Y", Fraction(15, 7))) == Fraction(6, 7)
+        got = assert_same_axiom_report(f, w, CFG0)
+        assert got is None  # both raised the same KeyError
+
+    def test_a_map_defined_past_the_window_is_read_there(self):
+        # extra entries (g, Y[1/3]) make the off-lattice reads defined
+        w = Window(3)
+        third = gen("Y", Fraction(1, 3))
+        f = bilinear_map_on_window({(gen("L", 1), gen("M", 0)): Element({third: Fraction(2, 3)})}, w, CFG0)
+        for g in w.generators(CFG0):
+            f.tensor[(g, third)] = Element({gen("M", g.index + third.index): 1, gen("L", 1): Fraction(1, 2)})
+        rep = assert_same_axiom_report(f, w, CFG0, max_recorded=10**9)
+        assert rep.total > 0
