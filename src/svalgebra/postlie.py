@@ -161,12 +161,12 @@ class AxiomCheck:
         # a dropped check is freed at once and not left to the cycle
         # collector: a sweep makes one check per replay.
         def position(g: GeneratorId) -> int:
-            p = pos.get(g)
-            if p is None:
-                p = pos[g] = len(order)
+            i = pos.get(g)
+            if i is None:
+                i = pos[g] = len(order)
                 order.append(g)
                 inside.append(w.contains(g))
-            return p
+            return i
 
         def value(a: int, b: int) -> List[Tuple[int, Fraction]]:
             return [(position(h), c) for h, c in read(order[a], order[b]).terms.items()]
@@ -310,7 +310,7 @@ def postlie_axiom_defects(
     Axiom-5 runs on all unordered pairs (the diagonal is trivially
     symmetric), axioms 6 and 7 on all evaluable triples; each violation is
     tagged with its axiom.  Defects are full elements, not projections.
-    Raises KeyError when the product is undefined on a window pair.
+    Raises KeyError when the product is undefined on a pair it reads.
     """
     chk = AxiomCheck(p, w, cfg)
     gens = chk.tabulate()
