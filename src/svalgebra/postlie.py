@@ -7,12 +7,10 @@ all ordered pairs of window generators.  Three axioms are checked:
   axiom-6:  [x, y] * z = x * (y * z) - y * (x * z)
   axiom-7:  x * [y, z] = [x * y, z] + [y, x * z]
 
-Axiom checks run on integer positions (``AxiomCheck``) and are exact: the
-full check scales every window value by the lcm s of its denominators and
-every bracket coefficient by the lcm t of theirs (t = 2 when the values lie
-on the lattice), so it computes an axiom-5 defect as s times the rational
-one, axiom-6 as t*s*s and axiom-7 as t*s, and turns a violation back into
-a full rational element.  A stored product value may stick out of the
+Axiom checks run on integer positions (``AxiomCheck``) and are exact:
+generators are numbered as they are met, coefficients stay rational, and
+each defect is the rational one, turned back into a full element only when
+a violation is recorded.  A stored product value may stick out of the
 window and still enters the comparison exactly.  An axiom instance is
 skipped only when it cannot be evaluated from window data: axiom-6 needs
 [x, y], y * z and x * z inside the window (the product accepts only window
@@ -26,9 +24,9 @@ the breaking instance together with its exact residual in closed form.
 `verify_triviality_theorem` sweeps a fixed parameter grid and replays each
 witness through the generic axiom evaluator, so the closed form and the
 checker must agree term by term.  The replay runs the same per-instance
-evaluation with rational coefficients and reads only the product values
-and brackets the instance needs, on demand from ``BiderivationForm.value``;
-the full check `postlie_axiom_defects` tabulates the product once.
+evaluation as the full check `postlie_axiom_defects` and reads only the
+product values and brackets the instance needs, on demand from
+``BiderivationForm.value``; the full check reads every window value once.
 
 `solve_postlie_window` is an independent brute-force cross-check.  It treats
 the product tensor itself as the unknown and works with the windowed axiom
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import (
@@ -75,7 +72,7 @@ from .linalg import (
     span_basis,
     vec_bump,
 )
-from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window, scaled_terms
+from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
 Values = Callable[[GeneratorId, GeneratorId], Element]
@@ -110,20 +107,20 @@ def _product_values(p: ProductLike, w: Window, cfg: AlgebraConfig) -> Values:
     return value
 
 
-# Key stride of a check that reads on demand, where any generator can be an
-# argument: it only has to exceed every position.
-_ON_DEMAND_STRIDE = 1 << 32
+# Key stride of the value and bracket tables: any generator can be an
+# argument, so it only has to exceed every position.
+_STRIDE = 1 << 32
 
 
 class _OnDemand(dict):
-    """A dict that fills a missing key a * _ON_DEMAND_STRIDE + b with fill(a, b)."""
+    """A dict that fills a missing key a * _STRIDE + b with fill(a, b)."""
 
     def __init__(self, fill: Callable[[int, int], Any]):
         super().__init__()
         self.fill = fill
 
     def __missing__(self, k: int) -> Any:
-        v = self[k] = self.fill(*divmod(k, _ON_DEMAND_STRIDE))
+        v = self[k] = self.fill(*divmod(k, _STRIDE))
         return v
 
 
@@ -131,24 +128,14 @@ class AxiomCheck:
     """The axioms of one product, evaluated on integer positions.
 
     Positions number generators as they are met: as an argument, in a
-    value or as a bracket target.  With k the key stride,
-    ``vals[a * k + b]`` holds the value a * b as (position, coefficient)
-    terms in term order, ``closed`` at the same key whether every term lies
-    within the window radius, and ``table[h * k + g]`` the bracket [g, h]
-    as None or (target position, coefficient).
-
-    A new check reads values and brackets on demand with rational
-    coefficients, so one instance reads only what it needs and a form is
-    never realized.  `tabulate` gives the n window generators positions
-    0..n-1 and reads every window value.  Unless a value term lies within
-    the radius without being a window generator, it then replaces the
-    tables by integer lists with k = n: values scaled by the lcm s of their
-    denominators (``windows.scaled_terms``), brackets by the lcm t of
-    theirs (2 when every value term lies on the lattice).  Each defect is
-    exactly a fixed multiple of the rational one: s for axiom-5, t*s*s for
-    axiom-6 and t*s for axiom-7 (s = t = 1 on demand).  Values are read in
-    the order the axiom formulas read them, so a product undefined on a
-    pair raises its KeyError at the same pair in both modes.
+    value or as a bracket target.  With k = _STRIDE, ``vals[a * k + b]``
+    holds the value a * b as (position, coefficient) terms in term order,
+    ``closed`` at the same key whether every term lies within the window
+    radius, and ``table[h * k + g]`` the bracket [g, h] as None or (target
+    position, coefficient).  Each is read on first use and kept, so one
+    instance reads only what it needs (a form is never realized) and the
+    full check reads every value and bracket once.  Coefficients are exact
+    rationals, and a defect is a {position: coefficient} dict.
     """
 
     def __init__(self, p: ProductLike, w: Window, cfg: AlgebraConfig):
@@ -179,56 +166,46 @@ class AxiomCheck:
             return position(target), c
 
         def closed(a: int, b: int) -> bool:
-            return all(inside[h] for h, _ in vals[a * _ON_DEMAND_STRIDE + b])
+            return all(inside[h] for h, _ in vals[a * _STRIDE + b])
 
         vals = _OnDemand(value)
-        self.window, self.cfg, self.read = w, cfg, read
-        self.order, self.pos, self.inside = order, pos, inside
-        self.position, self.bracket_entry = position, bracket_entry
-        self.stride = _ON_DEMAND_STRIDE
-        self.vals: Any = vals
-        self.closed: Any = _OnDemand(closed)
-        self.table: Any = _OnDemand(bracket_entry)
-        self.s = self.t = 1
+        self.window, self.cfg = w, cfg
+        self.order, self.inside, self.position = order, inside, position
+        self.vals = vals
+        self.closed = _OnDemand(closed)
+        self.table = _OnDemand(bracket_entry)
 
-    def tabulate(self) -> List[GeneratorId]:
-        """Read every window value, in canonical pair order, and switch to
-        integer tables where the window data allow it.  Call it on a new
-        check; returns the window generators, at positions 0..n-1."""
+    def read_window(self) -> List[GeneratorId]:
+        """Give the n window generators positions 0..n-1 and read every
+        window value in canonical pair order, so a product undefined on a
+        window pair raises its KeyError before any instance runs.  Call it
+        on a new check; returns the window generators."""
         gens = self.window.generators(self.cfg)
-        n, pos, inside = len(gens), self.pos, self.inside
+        n = len(gens)
         for g in gens:
             self.position(g)
-        values = [self.read(a, b).terms for a in gens for b in gens]
-        if any(self.window.contains(g) and pos.get(g, n) >= n for terms in values for g in terms):
-            return gens  # x * g for such a g is no window value: read it on demand
-        s, vals = scaled_terms(values, self.position)
-        table = [self.bracket_entry(h, g) for h in range(len(self.order)) for g in range(n)]
-        t = lcm(*(e[1].denominator for e in table if e is not None))
-        self.table = [None if e is None else (e[0], e[1].numerator * (t // e[1].denominator)) for e in table]
-        self.vals = vals
-        self.closed = [all(inside[h] for h, _ in v) for v in vals]
-        self.stride, self.s, self.t = n, s, t
+        for a in range(n):
+            for b in range(n):
+                self.vals[a * _STRIDE + b]
         return gens
 
-    def element(self, defect: Dict[int, Any], axiom: str) -> Element:
-        """The rational element of a defect of the given axiom."""
-        s, t, order = self.s, self.t, self.order
-        scale = {AXIOM_COMMUTATIVITY: s, AXIOM_WEIGHTED_LEIBNIZ: t * s * s, AXIOM_BRACKET_DERIVATION: t * s}[axiom]
-        return Element({order[h]: Fraction(c, scale) for h, c in defect.items()})
+    def element(self, defect: Dict[int, Fraction]) -> Element:
+        """The defect as an element."""
+        order = self.order
+        return Element({order[h]: c for h, c in defect.items()})
 
-    def commutativity(self, a: int, b: int) -> Dict[int, Any]:
-        """a * b - b * a, scaled."""
-        vals, k = self.vals, self.stride
-        acc = dict(vals[a * k + b])
-        for h, c in vals[b * k + a]:
+    def commutativity(self, a: int, b: int) -> Dict[int, Fraction]:
+        """a * b - b * a."""
+        vals = self.vals
+        acc = dict(vals[a * _STRIDE + b])
+        for h, c in vals[b * _STRIDE + a]:
             vec_bump(acc, h, -c)
         return acc
 
-    def weighted_leibniz(self, x: int, y: int, z: int) -> Optional[Dict[int, Any]]:
-        """[x, y] * z - x * (y * z) + y * (x * z), scaled; None when [x, y],
-        y * z or x * z leaves the window radius."""
-        vals, k = self.vals, self.stride
+    def weighted_leibniz(self, x: int, y: int, z: int) -> Optional[Dict[int, Fraction]]:
+        """[x, y] * z - x * (y * z) + y * (x * z); None when [x, y], y * z
+        or x * z leaves the window radius."""
+        vals, k = self.vals, _STRIDE
         e = self.table[y * k + x]
         if e is not None and not self.inside[e[0]]:
             return None
@@ -237,25 +214,24 @@ class AxiomCheck:
         closed_yz, closed_xz = self.closed[yz], self.closed[xz]
         if not (closed_yz and closed_xz):
             return None
-        acc: Dict[int, Any] = {}
+        acc: Dict[int, Fraction] = {}
         if e is not None:
             target, c = e
-            c *= self.s
             acc = {h: c * d for h, d in vals[target * k + z]}
-        for left, right, sign in ((x, yz, -self.t), (y, xz, self.t)):
+        for left, right, sign in ((x, yz, -1), (y, xz, 1)):
             for h, c in vals[right]:
                 for g, d in vals[left * k + h]:
                     vec_bump(acc, g, sign * c * d)
         return acc
 
-    def bracket_derivation(self, x: int, y: int, z: int) -> Optional[Dict[int, Any]]:
-        """x * [y, z] - [x * y, z] - [y, x * z], scaled; None when [y, z]
-        leaves the window radius."""
-        vals, table, k = self.vals, self.table, self.stride
+    def bracket_derivation(self, x: int, y: int, z: int) -> Optional[Dict[int, Fraction]]:
+        """x * [y, z] - [x * y, z] - [y, x * z]; None when [y, z] leaves the
+        window radius."""
+        vals, table, k = self.vals, self.table, _STRIDE
         e = table[z * k + y]
         if e is not None and not self.inside[e[0]]:
             return None
-        acc: Dict[int, Any] = {}
+        acc: Dict[int, Fraction] = {}
         if e is not None:
             target, c = e
             acc = {h: c * d for h, d in vals[x * k + target]}
@@ -281,7 +257,7 @@ def axiom_defect(
     the same per-instance evaluation the full checker runs (``AxiomCheck``),
     so a value here is exactly the entry `postlie_axiom_defects` would
     report.  A form is not realized: only the values and brackets the
-    instance reads are evaluated, with rational coefficients.
+    instance reads are evaluated.
     """
     chk = AxiomCheck(p, w, cfg)
     args = [chk.position(g) for g in inputs]
@@ -296,7 +272,7 @@ def axiom_defect(
         d = chk.bracket_derivation(x, y, z)
     else:
         raise ValueError(f"unknown axiom tag {axiom!r}")
-    return None if d is None else chk.element(d, axiom)
+    return None if d is None else chk.element(d)
 
 
 def postlie_axiom_defects(
@@ -313,7 +289,7 @@ def postlie_axiom_defects(
     Raises KeyError when the product is undefined on a pair it reads.
     """
     chk = AxiomCheck(p, w, cfg)
-    gens = chk.tabulate()
+    gens = chk.read_window()
     n = len(gens)
     rep = DefectReport(max_recorded=max_recorded)
 
@@ -323,7 +299,7 @@ def postlie_axiom_defects(
             pairs += 1
             d = chk.commutativity(a, b)
             if d:
-                rep.record((gens[a], gens[b]), chk.element(d, AXIOM_COMMUTATIVITY), AXIOM_COMMUTATIVITY)
+                rep.record((gens[a], gens[b]), chk.element(d), AXIOM_COMMUTATIVITY)
     rep.tick(pairs)
 
     # axiom-6 is antisymmetric in (x, y), axiom-7 in (y, z): unordered there
@@ -337,7 +313,7 @@ def postlie_axiom_defects(
                 closed += 1
                 if d:
                     inputs = (gens[x], gens[y], gens[z])
-                    rep.record(inputs, chk.element(d, AXIOM_WEIGHTED_LEIBNIZ), AXIOM_WEIGHTED_LEIBNIZ)
+                    rep.record(inputs, chk.element(d), AXIOM_WEIGHTED_LEIBNIZ)
     rep.tick(closed)
 
     closed = 0
@@ -350,7 +326,7 @@ def postlie_axiom_defects(
                 closed += 1
                 if d:
                     inputs = (gens[x], gens[y], gens[z])
-                    rep.record(inputs, chk.element(d, AXIOM_BRACKET_DERIVATION), AXIOM_BRACKET_DERIVATION)
+                    rep.record(inputs, chk.element(d), AXIOM_BRACKET_DERIVATION)
     rep.tick(closed)
     return rep
 

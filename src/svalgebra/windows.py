@@ -1,8 +1,6 @@
 """Finite index windows, the column layout of window maps, their bracket
-tables on integer positions, the flattening of map values into integer
-terms scaled by the lcm of their denominators (shared by the Leibniz and
-post-Lie checkers), the Leibniz rule the derivation and biderivation
-checkers share, and defect reports.
+tables on integer positions, the Leibniz rule the derivation and
+biderivation checkers share, and defect reports.
 
 All solvers and checkers work on the finite slice of the algebra spanned by
 generators whose index has absolute value at most a radius N.  The interior
@@ -18,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, gen, jacobi_defect
 from .linalg import SparseVec
@@ -182,19 +180,6 @@ class BracketTable:
         return [h for h in range(self.n) if lo <= d[h] <= hi]
 
 
-def scaled_terms(
-    values: Sequence[Mapping[GeneratorId, Fraction]], position: Callable[[GeneratorId], int]
-) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """(s, flat): every value as (position, s * coefficient) integer terms,
-    in term order, s the lcm of all their denominators."""
-    scale = lcm(*{c.denominator for terms in values for c in terms.values()})
-    flat = [
-        [(position(h), c.numerator * (scale // c.denominator)) for h, c in terms.items()]
-        for terms in values
-    ]
-    return scale, flat
-
-
 def _twice(x: Fraction) -> Optional[int]:
     """2*x as an int, or None when x is not a half-integer."""
     q, r = divmod(2 * x.numerator, x.denominator)
@@ -213,12 +198,11 @@ class LeibnizCheck:
 
     Positions are the window generators first, then every other generator
     met in a value or as an in-window bracket, each with its doubled index.
-    Values are (position, s * coefficient) terms (``scaled_terms``), s the
-    lcm of all their denominators, and brackets carry doubled coefficients,
-    so a defect is computed in integers as exactly 2s times the rational
-    one.  Raises ValueError naming a value generator whose index is not a
-    half-integer, or a bracket whose coefficient is not; generators of
-    SV(eps) never are.
+    Values are (position, s * coefficient) terms, s the lcm of all their
+    denominators, and brackets carry doubled coefficients, so a defect is
+    computed in integers as exactly 2s times the rational one.  Raises
+    ValueError naming a value generator whose index is not a half-integer,
+    or a bracket whose coefficient is not; generators of SV(eps) never are.
 
     ``pairs`` lists the window pairs a < b whose bracket stays in the
     window, ascending, as (a, b, target position, doubled coefficient),
@@ -247,7 +231,11 @@ class LeibnizCheck:
 
         for g in gens:
             position(g)
-        scale, self.flat = scaled_terms(values, position)
+        scale = lcm(*{c.denominator for terms in values for c in terms.values()})
+        self.flat = [
+            [(position(h), c.numerator * (scale // c.denominator)) for h, c in terms.items()]
+            for terms in values
+        ]
 
         def doubled_bracket(x: int, y: int) -> Optional[Tuple[int, int]]:
             terms = bracket_basis(order[x], order[y], cfg).terms

@@ -491,7 +491,7 @@ class TestOffLatticeBrackets:
     """Value generators off the lattice bracket with window generators at
     coefficients that are not half-integers; both checkers stay exact."""
 
-    def test_outside_the_radius_goes_through_the_integer_tables(self):
+    def test_outside_the_radius_stays_exact(self):
         # [L[1], Y[22/7]] = -37/14 Y[29/7] and [Y[0], L[10/3]] = -5/3 Y[10/3]
         w = Window(3)
         odd = Element({gen("Y", Fraction(22, 7)): 3, gen("L", Fraction(10, 3)): Fraction(-1, 2)})
