@@ -1,4 +1,4 @@
-"""Surface syntax for elements, operators, tensors and shift sets.
+r"""Surface syntax for elements, operators, tensors and shift sets.
 
 Element grammar:
 
@@ -8,21 +8,35 @@ Element grammar:
     rational  := integer [ "/" positive-integer ]
     sign      := "+" | "-"
 
+Recursive descent over three compiled patterns, each matched in place
+with ``pattern.match(text, pos)``: ``_SPACE`` (``\s*``), ``_RATIONAL``
+(``(-?)([0-9]*)(?:/([0-9]*))?``) and ``_FAMILY`` (``[LYM]``).  Each
+helper takes ``(text, pos)`` and returns ``(value, new_pos)``.  Whitespace
+is exactly what ``str.isspace()`` accepts, which is what ``\s`` matches.
+
 Whitespace may separate tokens, but a rational is one token: none may
 follow its ``-`` or surround its ``/`` (``L[- 1]``, ``1 /2*L[0]``), nor
-stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9``, at most as
-many in one run as the interpreter converts to an int (4300 by default).
-The limit applies to input only: printed rationals are exact at any length.
+stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9`` (``\d``
+would also accept ``²`` and ``٣``), at most as many in one run as the
+interpreter converts to an int (4300 by default).  The limit applies to
+input only: printed rationals are exact at any length.
 
 A lone rational is rejected with one exception: the exact input ``0``
 denotes the zero element, so the canonical printed form of every element
 parses back.  Syntax problems raise ParseError with a position; index
 lattice violations (e.g. ``Y[1/2]`` with epsilon = 0) raise DomainError.
+
+One line loop reads the three file formats (``GEN -> element``,
+``(GEN, GEN) -> element``, ``mu[k] = rational``): it drops ``#`` comments
+and blank lines and puts the line number in front of every error, whose
+position counts within the stripped text that was parsed (a side of the
+separator, or the k of ``mu[k]``).
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 from .algebra import AlgebraConfig, Element, GeneratorId, format_rational, gen
 
@@ -41,6 +55,11 @@ __all__ = [
 ]
 
 
+_SPACE = re.compile(r"\s*")
+_RATIONAL = re.compile(r"(-?)([0-9]*)(?:/([0-9]*))?")
+_FAMILY = re.compile(r"[LYM]")
+
+
 class ParseError(ValueError):
     """Malformed input text; carries the offending position."""
 
@@ -55,138 +74,110 @@ class DomainError(ValueError):
     the generator lies outside the window it is used on."""
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+def _skip(text: str, pos: int) -> int:
+    return _SPACE.match(text, pos).end()
 
 
-def _parse_digits(cur: _Cursor) -> int:
-    start = cur.pos
-    while "0" <= cur.peek() <= "9":  # ASCII only: str.isdigit accepts "²" and "٣"
-        cur.pos += 1
-    if cur.pos == start:
-        raise ParseError("expected digits", cur.pos)
+def _expect(text: str, pos: int, ch: str) -> int:
+    pos = _skip(text, pos)
+    if not text.startswith(ch, pos):
+        raise ParseError(f"expected {ch!r}", pos)
+    return pos + 1
+
+
+def _end(text: str, pos: int, what: str) -> None:
+    pos = _skip(text, pos)
+    if pos < len(text):
+        raise ParseError(f"trailing input after {what}", pos)
+
+
+def _int(digits: str, pos: int) -> int:
+    if not digits:
+        raise ParseError("expected digits", pos)
     try:
-        return int(cur.text[start:cur.pos])
+        return int(digits)
     except ValueError:  # past the interpreter's limit on digits per int
-        raise ParseError(f"too many digits ({cur.pos - start})", start) from None
+        raise ParseError(f"too many digits ({len(digits)})", pos) from None
 
 
-def _parse_rational(cur: _Cursor) -> Fraction:
-    cur.skip_ws()
-    negative = False
-    if cur.peek() == "-":
-        cur.take()
-        negative = True
-    num = _parse_digits(cur)
+def _rational(text: str, pos: int) -> Tuple[Fraction, int]:
+    m = _RATIONAL.match(text, _skip(text, pos))
+    minus, num_digits, den_digits = m.groups()
+    num = _int(num_digits, m.start(2))
     den = 1
-    if cur.peek() == "/":
-        cur.take()
-        den_pos = cur.pos
-        den = _parse_digits(cur)
+    if den_digits is not None:
+        den = _int(den_digits, m.start(3))
         if den == 0:
-            raise ParseError("zero denominator", den_pos)
-    return Fraction(-num if negative else num, den)
+            raise ParseError("zero denominator", m.start(3))
+    return Fraction(-num if minus else num, den), m.end()
 
 
-def _parse_generator(cur: _Cursor, cfg: AlgebraConfig) -> GeneratorId:
-    cur.skip_ws()
-    fam = cur.peek()
-    if fam not in ("L", "Y", "M"):
-        raise ParseError("expected generator family L, Y or M", cur.pos)
-    cur.take()
-    cur.skip_ws()
-    cur.expect("[")
-    index = _parse_rational(cur)
-    cur.skip_ws()
-    cur.expect("]")
+def _generator(text: str, pos: int, cfg: AlgebraConfig) -> Tuple[GeneratorId, int]:
+    pos = _skip(text, pos)
+    if not _FAMILY.match(text, pos):
+        raise ParseError("expected generator family L, Y or M", pos)
+    fam = text[pos]
+    index, pos = _rational(text, _expect(text, pos + 1, "["))
+    pos = _expect(text, pos, "]")
     g = gen(fam, index)
     if not cfg.valid_index(fam, index):
         raise DomainError(
             f"index {index} invalid for family {fam} at epsilon={cfg.epsilon}"
         )
-    return g
+    return g, pos
 
 
-def _parse_term(cur: _Cursor, cfg: AlgebraConfig) -> Tuple[Fraction, GeneratorId]:
-    cur.skip_ws()
-    ch = cur.peek()
-    if ch in ("L", "Y", "M"):
-        return Fraction(1), _parse_generator(cur, cfg)
-    term_pos = cur.pos
-    coeff = _parse_rational(cur)
-    cur.skip_ws()
-    if cur.peek() != "*":
-        raise ParseError("lone rational: a coefficient needs '*' and a generator", term_pos)
-    cur.take()
-    return coeff, _parse_generator(cur, cfg)
+def _term(text: str, pos: int, cfg: AlgebraConfig) -> Tuple[Fraction, GeneratorId, int]:
+    pos = _skip(text, pos)
+    if _FAMILY.match(text, pos):
+        g, pos = _generator(text, pos, cfg)
+        return Fraction(1), g, pos
+    coeff, end = _rational(text, pos)
+    end = _skip(text, end)
+    if not text.startswith("*", end):
+        raise ParseError("lone rational: a coefficient needs '*' and a generator", pos)
+    g, end = _generator(text, end + 1, cfg)
+    return coeff, g, end
 
 
 def parse_element(text: str, cfg: AlgebraConfig) -> Element:
     if text.strip() == "0":
         return Element()
-    cur = _Cursor(text)
-    cur.skip_ws()
-    if cur.at_end():
-        raise ParseError("empty element expression", cur.pos)
+    pos = _skip(text, 0)
+    if pos == len(text):
+        raise ParseError("empty element expression", pos)
     acc: Dict[GeneratorId, Fraction] = {}
-    sign = Fraction(1)
-    if cur.peek() in ("+", "-"):
-        sign = Fraction(-1) if cur.take() == "-" else Fraction(1)
+    sign = text[pos]
+    if sign in ("+", "-"):
+        pos += 1
     while True:
-        coeff, g = _parse_term(cur, cfg)
-        coeff *= sign
+        coeff, g, pos = _term(text, pos, cfg)
+        if sign == "-":
+            coeff = -coeff
         nv = acc.get(g, Fraction(0)) + coeff
         if nv:
             acc[g] = nv
         else:
             acc.pop(g, None)
-        cur.skip_ws()
-        if cur.at_end():
+        pos = _skip(text, pos)
+        if pos == len(text):
             break
-        ch = cur.take()
-        if ch not in ("+", "-"):
-            raise ParseError("expected '+' or '-' between terms", cur.pos - 1)
-        sign = Fraction(-1) if ch == "-" else Fraction(1)
+        sign = text[pos]
+        if sign not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", pos)
+        pos += 1
     return Element(acc)
 
 
 def parse_generator(text: str, cfg: AlgebraConfig) -> GeneratorId:
-    cur = _Cursor(text)
-    g = _parse_generator(cur, cfg)
-    cur.skip_ws()
-    if not cur.at_end():
-        raise ParseError("trailing input after generator", cur.pos)
+    g, pos = _generator(text, 0, cfg)
+    _end(text, pos, "generator")
     return g
 
 
 def parse_rational(text: str) -> Fraction:
-    cur = _Cursor(text)
-    r = _parse_rational(cur)
-    cur.skip_ws()
-    if not cur.at_end():
-        raise ParseError("trailing input after rational", cur.pos)
+    r, pos = _rational(text, 0)
+    _end(text, pos, "rational")
     return r
 
 
@@ -197,12 +188,22 @@ def _on_line(lineno: int, exc: ValueError) -> ValueError:
     return type(exc)(f"line {lineno}: {exc}")
 
 
-def _content_lines(text: str):
-    """Yield (line number, text) with comments and blank lines dropped."""
+def _entries(text: str, sep: str, parse: Callable[[str, str], Tuple[Any, Any]]) -> Iterator[Tuple[int, Any, Any]]:
+    """Yield (line number, key, value) for each `left sep right` line, with
+    comments and blank lines dropped.  ``parse`` reads the stripped sides;
+    its errors come out with the line number in front."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        if not line:
+            continue
+        lhs, found, rhs = line.partition(sep)
+        if not found:
+            raise ParseError(f"line {lineno}: missing {sep!r}", 0)
+        try:
+            key, value = parse(lhs.strip(), rhs.strip())
+        except ValueError as exc:
+            raise _on_line(lineno, exc) from None
+        yield lineno, key, value
 
 
 def parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Element]:
@@ -211,16 +212,12 @@ def parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Ele
     Omitted generators are implicitly zero; that default is applied by the
     operator constructor, not here.
     """
+
+    def entry(lhs: str, rhs: str) -> Tuple[GeneratorId, Element]:
+        return parse_generator(lhs, cfg), parse_element(rhs, cfg)
+
     action: Dict[GeneratorId, Element] = {}
-    for lineno, line in _content_lines(text):
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow:
-            raise ParseError(f"line {lineno}: missing '->'", 0)
-        try:
-            g = parse_generator(lhs.strip(), cfg)
-            img = parse_element(rhs.strip(), cfg)
-        except ValueError as exc:
-            raise _on_line(lineno, exc) from None
+    for lineno, g, img in _entries(text, "->", entry):
         if g in action:
             raise ParseError(f"line {lineno}: duplicate generator {g}", 0)
         action[g] = img
@@ -229,53 +226,36 @@ def parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Ele
 
 def parse_tensor_lines(text: str, cfg: AlgebraConfig) -> Dict[Tuple[GeneratorId, GeneratorId], Element]:
     """Tensor file: `(GEN, GEN) -> element` lines, `#` comments."""
+
+    def entry(lhs: str, rhs: str) -> Tuple[Tuple[GeneratorId, GeneratorId], Element]:
+        g1, pos = _generator(lhs, _expect(lhs, 0, "("), cfg)
+        g2, pos = _generator(lhs, _expect(lhs, pos, ","), cfg)
+        _end(lhs, _expect(lhs, pos, ")"), "pair")
+        return (g1, g2), parse_element(rhs, cfg)
+
     tensor: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
-    for lineno, line in _content_lines(text):
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow:
-            raise ParseError(f"line {lineno}: missing '->'", 0)
-        try:
-            cur = _Cursor(lhs.strip())
-            cur.skip_ws()
-            cur.expect("(")
-            g1 = _parse_generator(cur, cfg)
-            cur.skip_ws()
-            cur.expect(",")
-            g2 = _parse_generator(cur, cfg)
-            cur.skip_ws()
-            cur.expect(")")
-            cur.skip_ws()
-            if not cur.at_end():
-                raise ParseError("trailing input after pair", cur.pos)
-            img = parse_element(rhs.strip(), cfg)
-        except ValueError as exc:
-            raise _on_line(lineno, exc) from None
-        key = (g1, g2)
-        if key in tensor:
+    for lineno, (g1, g2), img in _entries(text, "->", entry):
+        if (g1, g2) in tensor:
             raise ParseError(f"line {lineno}: duplicate pair ({g1}, {g2})", 0)
-        tensor[key] = img
+        tensor[(g1, g2)] = img
     return tensor
+
+
+def _shift_entry(lhs: str, rhs: str) -> Tuple[int, Fraction]:
+    if not (lhs.startswith("mu[") and lhs.endswith("]")):
+        raise ParseError("expected mu[k] on the left", 0)
+    k = parse_rational(lhs[3:-1].strip())
+    value = parse_rational(rhs)
+    if k.denominator != 1:
+        raise DomainError(f"shift {k} is not an integer")
+    return int(k), value
 
 
 def parse_omega_lines(text: str) -> Dict[int, Fraction]:
     """Shift-set file: `mu[k] = rational` lines, `#` comments, each integer
     k at most once (zero values too, which are then dropped)."""
     mu: Dict[int, Fraction] = {}
-    for lineno, line in _content_lines(text):
-        lhs, eq, rhs = line.partition("=")
-        if not eq:
-            raise ParseError(f"line {lineno}: missing '='", 0)
-        lhs = lhs.strip()
-        if not (lhs.startswith("mu[") and lhs.endswith("]")):
-            raise ParseError(f"line {lineno}: expected mu[k] on the left", 0)
-        try:
-            k_frac = parse_rational(lhs[3:-1].strip())
-            value = parse_rational(rhs.strip())
-        except ValueError as exc:
-            raise _on_line(lineno, exc) from None
-        if k_frac.denominator != 1:
-            raise DomainError(f"line {lineno}: shift {k_frac} is not an integer")
-        k = int(k_frac)
+    for lineno, k, value in _entries(text, "=", _shift_entry):
         if k in mu:
             raise ParseError(f"line {lineno}: duplicate shift {k}", 0)
         mu[k] = value

@@ -97,10 +97,12 @@ def _product_values(p: ProductLike, w: Window, cfg: AlgebraConfig) -> Values:
     KeyError that the realized map would raise."""
     if isinstance(p, BilinearMap):
         return p.value
-    gens = set(w.generators(cfg))
+
+    def on_window(g: GeneratorId) -> bool:
+        return w.contains(g) and cfg.valid_index(g.family, g.index)
 
     def value(a: GeneratorId, b: GeneratorId) -> Element:
-        if a not in gens or b not in gens:
+        if not (on_window(a) and on_window(b)):
             raise KeyError(f"bilinear map realize{p} undefined on ({a}, {b})")
         return p.value(a, b, cfg)
 

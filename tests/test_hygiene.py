@@ -177,3 +177,20 @@ def test_postlie_checker_skips_the_element_bracket():
         assert "AxiomCheck" in names
         assert not names & ({"bracket", "contains_element"} | POSTLIE_ELEMENT_HELPERS), entry
     assert sorted(callers(source, "bracket_basis")) == ["AxiomCheck.__init__.bracket_entry", "triviality_witness"]
+
+
+CURSOR_PARSER = {"_Cursor", "_parse_digits", "_parse_rational", "_parse_generator", "_parse_term"}
+
+
+def test_parser_matches_patterns_without_a_cursor():
+    """The parser reads text with compiled patterns matched in place: it
+    defines no character cursor or its helpers and calls no per-character
+    ``peek``, ``skip_ws`` or ``take``."""
+    source = (PACKAGE / "parsing.py").read_text()
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & CURSOR_PARSER
+    assert not {called for _, called in calls(source)} & {"peek", "skip_ws", "take"}

@@ -1,7 +1,10 @@
 """Surface syntax: element expressions and the plain-text file formats."""
 
+import re
 import sys
 from fractions import Fraction
+from functools import partial
+from typing import Dict, Tuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +12,12 @@ import hypothesis.strategies as st
 
 from svalgebra import (
     AlgebraConfig,
+    BiderivationForm,
     DomainError,
     Element,
+    GeneratorId,
     ParseError,
+    Window,
     ZERO,
     format_element,
     gen,
@@ -21,6 +27,7 @@ from svalgebra import (
     parse_operator_lines,
     parse_rational,
     parse_tensor_lines,
+    realize,
 )
 from svalgebra.parsing import format_operator_lines, format_tensor_lines, format_omega_lines
 
@@ -251,3 +258,365 @@ def test_parsers_raise_only_their_own_errors(text):
             parse(text)
         except (ParseError, DomainError):
             pass
+
+
+# --- Differential test against the character-cursor parser ---------------
+#
+# A verbatim copy of the parser that walked characters through a cursor
+# object, renamed with a _reference prefix.  The compiled-pattern parser
+# must return equal values and raise the same (type, message, position)
+# on every input.
+
+class _ReferenceCursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+
+def _reference_digits(cur: _ReferenceCursor) -> int:
+    start = cur.pos
+    while "0" <= cur.peek() <= "9":  # ASCII only: str.isdigit accepts "²" and "٣"
+        cur.pos += 1
+    if cur.pos == start:
+        raise ParseError("expected digits", cur.pos)
+    try:
+        return int(cur.text[start:cur.pos])
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ParseError(f"too many digits ({cur.pos - start})", start) from None
+
+
+def _reference_rational(cur: _ReferenceCursor) -> Fraction:
+    cur.skip_ws()
+    negative = False
+    if cur.peek() == "-":
+        cur.take()
+        negative = True
+    num = _reference_digits(cur)
+    den = 1
+    if cur.peek() == "/":
+        cur.take()
+        den_pos = cur.pos
+        den = _reference_digits(cur)
+        if den == 0:
+            raise ParseError("zero denominator", den_pos)
+    return Fraction(-num if negative else num, den)
+
+
+def _reference_generator(cur: _ReferenceCursor, cfg: AlgebraConfig) -> GeneratorId:
+    cur.skip_ws()
+    fam = cur.peek()
+    if fam not in ("L", "Y", "M"):
+        raise ParseError("expected generator family L, Y or M", cur.pos)
+    cur.take()
+    cur.skip_ws()
+    cur.expect("[")
+    index = _reference_rational(cur)
+    cur.skip_ws()
+    cur.expect("]")
+    g = gen(fam, index)
+    if not cfg.valid_index(fam, index):
+        raise DomainError(
+            f"index {index} invalid for family {fam} at epsilon={cfg.epsilon}"
+        )
+    return g
+
+
+def _reference_term(cur: _ReferenceCursor, cfg: AlgebraConfig) -> Tuple[Fraction, GeneratorId]:
+    cur.skip_ws()
+    ch = cur.peek()
+    if ch in ("L", "Y", "M"):
+        return Fraction(1), _reference_generator(cur, cfg)
+    term_pos = cur.pos
+    coeff = _reference_rational(cur)
+    cur.skip_ws()
+    if cur.peek() != "*":
+        raise ParseError("lone rational: a coefficient needs '*' and a generator", term_pos)
+    cur.take()
+    return coeff, _reference_generator(cur, cfg)
+
+
+def _reference_parse_element(text: str, cfg: AlgebraConfig) -> Element:
+    if text.strip() == "0":
+        return Element()
+    cur = _ReferenceCursor(text)
+    cur.skip_ws()
+    if cur.at_end():
+        raise ParseError("empty element expression", cur.pos)
+    acc: Dict[GeneratorId, Fraction] = {}
+    sign = Fraction(1)
+    if cur.peek() in ("+", "-"):
+        sign = Fraction(-1) if cur.take() == "-" else Fraction(1)
+    while True:
+        coeff, g = _reference_term(cur, cfg)
+        coeff *= sign
+        nv = acc.get(g, Fraction(0)) + coeff
+        if nv:
+            acc[g] = nv
+        else:
+            acc.pop(g, None)
+        cur.skip_ws()
+        if cur.at_end():
+            break
+        ch = cur.take()
+        if ch not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", cur.pos - 1)
+        sign = Fraction(-1) if ch == "-" else Fraction(1)
+    return Element(acc)
+
+
+def _reference_parse_generator(text: str, cfg: AlgebraConfig) -> GeneratorId:
+    cur = _ReferenceCursor(text)
+    g = _reference_generator(cur, cfg)
+    cur.skip_ws()
+    if not cur.at_end():
+        raise ParseError("trailing input after generator", cur.pos)
+    return g
+
+
+def _reference_parse_rational(text: str) -> Fraction:
+    cur = _ReferenceCursor(text)
+    r = _reference_rational(cur)
+    cur.skip_ws()
+    if not cur.at_end():
+        raise ParseError("trailing input after rational", cur.pos)
+    return r
+
+
+def _reference_on_line(lineno: int, exc: ValueError) -> ValueError:
+    """The same error with its file line number in front of the message."""
+    if isinstance(exc, ParseError):
+        return ParseError(f"line {lineno}: {exc.reason}", exc.position)
+    return type(exc)(f"line {lineno}: {exc}")
+
+
+def _reference_content_lines(text: str):
+    """Yield (line number, text) with comments and blank lines dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _reference_parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Element]:
+    """Operator file: one `GEN -> element` line per generator, `#` comments.
+
+    Omitted generators are implicitly zero; that default is applied by the
+    operator constructor, not here.
+    """
+    action: Dict[GeneratorId, Element] = {}
+    for lineno, line in _reference_content_lines(text):
+        lhs, arrow, rhs = line.partition("->")
+        if not arrow:
+            raise ParseError(f"line {lineno}: missing '->'", 0)
+        try:
+            g = _reference_parse_generator(lhs.strip(), cfg)
+            img = _reference_parse_element(rhs.strip(), cfg)
+        except ValueError as exc:
+            raise _reference_on_line(lineno, exc) from None
+        if g in action:
+            raise ParseError(f"line {lineno}: duplicate generator {g}", 0)
+        action[g] = img
+    return action
+
+
+def _reference_parse_tensor_lines(text: str, cfg: AlgebraConfig) -> Dict[Tuple[GeneratorId, GeneratorId], Element]:
+    """Tensor file: `(GEN, GEN) -> element` lines, `#` comments."""
+    tensor: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
+    for lineno, line in _reference_content_lines(text):
+        lhs, arrow, rhs = line.partition("->")
+        if not arrow:
+            raise ParseError(f"line {lineno}: missing '->'", 0)
+        try:
+            cur = _ReferenceCursor(lhs.strip())
+            cur.skip_ws()
+            cur.expect("(")
+            g1 = _reference_generator(cur, cfg)
+            cur.skip_ws()
+            cur.expect(",")
+            g2 = _reference_generator(cur, cfg)
+            cur.skip_ws()
+            cur.expect(")")
+            cur.skip_ws()
+            if not cur.at_end():
+                raise ParseError("trailing input after pair", cur.pos)
+            img = _reference_parse_element(rhs.strip(), cfg)
+        except ValueError as exc:
+            raise _reference_on_line(lineno, exc) from None
+        key = (g1, g2)
+        if key in tensor:
+            raise ParseError(f"line {lineno}: duplicate pair ({g1}, {g2})", 0)
+        tensor[key] = img
+    return tensor
+
+
+def _reference_parse_omega_lines(text: str) -> Dict[int, Fraction]:
+    """Shift-set file: `mu[k] = rational` lines, `#` comments, each integer
+    k at most once (zero values too, which are then dropped)."""
+    mu: Dict[int, Fraction] = {}
+    for lineno, line in _reference_content_lines(text):
+        lhs, eq, rhs = line.partition("=")
+        if not eq:
+            raise ParseError(f"line {lineno}: missing '='", 0)
+        lhs = lhs.strip()
+        if not (lhs.startswith("mu[") and lhs.endswith("]")):
+            raise ParseError(f"line {lineno}: expected mu[k] on the left", 0)
+        try:
+            k_frac = _reference_parse_rational(lhs[3:-1].strip())
+            value = _reference_parse_rational(rhs.strip())
+        except ValueError as exc:
+            raise _reference_on_line(lineno, exc) from None
+        if k_frac.denominator != 1:
+            raise DomainError(f"line {lineno}: shift {k_frac} is not an integer")
+        k = int(k_frac)
+        if k in mu:
+            raise ParseError(f"line {lineno}: duplicate shift {k}", 0)
+        mu[k] = value
+    return {k: v for k, v in mu.items() if v}
+
+
+_CFGS = {"eps0": CFG0, "eps_half": CFG_HALF}
+_ENTRY_POINTS = [
+    ("rational", parse_rational, _reference_parse_rational),
+    ("omega", parse_omega_lines, _reference_parse_omega_lines),
+] + [
+    (f"{name}-{label}", partial(new, cfg=cfg), partial(old, cfg=cfg))
+    for label, cfg in _CFGS.items()
+    for name, new, old in (
+        ("element", parse_element, _reference_parse_element),
+        ("generator", parse_generator, _reference_parse_generator),
+        ("operator", parse_operator_lines, _reference_parse_operator_lines),
+        ("tensor", parse_tensor_lines, _reference_parse_tensor_lines),
+    )
+]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "position", None)
+    return "returned", type(value), value
+
+
+def assert_same_as_reference(text):
+    for name, new, old in _ENTRY_POINTS:
+        assert _outcome(new, text) == _outcome(old, text), (name, text[:200])
+
+
+# The grammar alphabet and a few of its words, Unicode whitespace
+# (str.isspace is true for the first eight), a zero-width space (it is
+# not), digits that str.isdigit accepts but the grammar does not, CRLF,
+# and runs past int()'s 4300-digit limit.
+_TOKENS = list("LYMmu[]()*/+-=>,#0123456789 \t\n") + [
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+    "\u200b", "\u00b2", "\u0663", "\r\n", "->", "mu[", "/0", "/2", " + ", "L[1]", "Y[1/2]",
+    "1" * 4301, "0" * 4301, "-" + "9" * 4400,
+]
+_token_text = st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join)
+
+
+def _realized_pools():
+    """Printed realized N=5 forms, both parities, one line list per
+    format: tensor lines, operator lines of one slice, the values alone
+    (zero among them) and shift sets."""
+    shifts = {-1: Fraction(5, 2), 2: Fraction(-4), 3: Fraction(0)}
+    form = BiderivationForm(Fraction(-3, 7), shifts)
+    pools = {"omega": format_omega_lines(shifts).splitlines(), "tensor": [], "operator": [], "element": []}
+    for cfg in _CFGS.values():
+        tensor = realize(form, Window(5), cfg).tensor
+        pools["tensor"] += format_tensor_lines(tensor).splitlines()
+        pools["element"] += sorted({str(v) for v in tensor.values()})
+        z = gen("L", 1)
+        pools["operator"] += format_operator_lines({g1: v for (g1, g2), v in tensor.items() if g2 is z}).splitlines()
+    return list(pools.values())
+
+
+_REALIZED = _realized_pools()
+
+
+@st.composite
+def _edited_realized_text(draw):
+    """A run of printed lines of one format, its first line possibly
+    repeated, joined by LF or CRLF, then edited a few times: a token
+    inserted, or a span deleted, at a drawn position."""
+    pool = draw(st.sampled_from(_REALIZED))
+    start = draw(st.integers(0, len(pool) - 1))
+    lines = pool[start:start + draw(st.integers(1, 4))]
+    if draw(st.booleans()):
+        lines.append(lines[0])
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(_TOKENS)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 3)):]
+    return text
+
+
+@given(st.one_of(_token_text, _edited_realized_text()))
+@example("L[- 1]")
+@example("1 /2*L[0]")
+@example("-/2*L[0]")
+@example("1/*L[0]")
+@example("L[1] + 3")
+@example("  -3 + L[1]")
+@example("L[1] ?")
+@example("\u3000L[1]\u2028+\x85 1/2 *\xa0M[0]\x1c")
+@example("L[1]\u200b")
+@example("L[\u00b2]")
+@example("L[\u0663]")
+@example("L[" + "1" * 5000 + "]")
+@example("-1/" + "1" * 5000)
+@example("mu[1/2] = x")
+@example("mu[x] = 1")
+@example("mu[1/2] = 3")
+@example("1/0*L[1] + L[1/0]")
+@example("mu [1] = 1")
+@example("mu[1] = 1\r\nmu[1] = 0")
+@example("(L[0], L[1]) -> 5")
+@example("(L[0] L[1]) -> M[1]")
+@example("(L[0], L[1]) x -> M[1]")
+@example("(L[0], L[1]) -> M[1]\r\n(L[0],L[1])->M[1]")
+@example("L[0] -> M[0]\nL[0] -> 0")
+@example("\u3000 0\x85")
+@example("-0")
+@settings(max_examples=400, deadline=None)
+def test_parsers_match_the_reference(text):
+    assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("label", sorted(_CFGS))
+def test_realized_n5_files_match_the_reference(label):
+    cfg = _CFGS[label]
+    form = BiderivationForm(Fraction(5, 3), {0: Fraction(-1, 2), 3: Fraction(7)})
+    text = format_tensor_lines(realize(form, Window(5), cfg).tensor)
+    assert parse_tensor_lines(text, cfg) == _reference_parse_tensor_lines(text, cfg)
+
+
+def test_space_pattern_is_str_isspace():
+    """\\s in a str pattern matches exactly the code points for which
+    str.isspace() is true, so the pattern parser skips what the cursor
+    parser skipped."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
