@@ -1,8 +1,8 @@
 """Package hygiene: every module of ``svalgebra`` uses the names it imports,
 the package exports exactly the names its ``__init__`` imports, one
 function builds an exact elimination, the mod-p oracle shares only the
-forced-zero presolve with it, and the post-Lie checker evaluates instances
-without the Element bracket.
+forced-zero presolve with it, the post-Lie checker evaluates instances
+without the Element bracket, and the parser has no character cursor.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of

@@ -260,12 +260,11 @@ def test_parsers_raise_only_their_own_errors(text):
             pass
 
 
-# --- Differential test against the character-cursor parser ---------------
-#
+# -- the character-cursor parser, kept as the reference ---------------------
 # A verbatim copy of the parser that walked characters through a cursor
-# object, renamed with a _reference prefix.  The compiled-pattern parser
-# must return equal values and raise the same (type, message, position)
-# on every input.
+# object before it matched compiled patterns, renamed with a _reference
+# prefix.  Both must return equal values and raise the same (type,
+# message, position) on every input.
 
 class _ReferenceCursor:
     def __init__(self, text: str):
@@ -518,11 +517,6 @@ def _outcome(parse, text):
     return "returned", type(value), value
 
 
-def assert_same_as_reference(text):
-    for name, new, old in _ENTRY_POINTS:
-        assert _outcome(new, text) == _outcome(old, text), (name, text[:200])
-
-
 # The grammar alphabet and a few of its words, Unicode whitespace
 # (str.isspace is true for the first eight), a zero-width space (it is
 # not), digits that str.isdigit accepts but the grammar does not, CRLF,
@@ -542,11 +536,11 @@ def _realized_pools():
     shifts = {-1: Fraction(5, 2), 2: Fraction(-4), 3: Fraction(0)}
     form = BiderivationForm(Fraction(-3, 7), shifts)
     pools = {"omega": format_omega_lines(shifts).splitlines(), "tensor": [], "operator": [], "element": []}
+    z = gen("L", 1)
     for cfg in _CFGS.values():
         tensor = realize(form, Window(5), cfg).tensor
         pools["tensor"] += format_tensor_lines(tensor).splitlines()
         pools["element"] += sorted({str(v) for v in tensor.values()})
-        z = gen("L", 1)
         pools["operator"] += format_operator_lines({g1: v for (g1, g2), v in tensor.items() if g2 is z}).splitlines()
     return list(pools.values())
 
@@ -603,7 +597,8 @@ def _edited_realized_text(draw):
 @example("-0")
 @settings(max_examples=400, deadline=None)
 def test_parsers_match_the_reference(text):
-    assert_same_as_reference(text)
+    for name, new, old in _ENTRY_POINTS:
+        assert _outcome(new, text) == _outcome(old, text), (name, text[:200])
 
 
 @pytest.mark.parametrize("label", sorted(_CFGS))
