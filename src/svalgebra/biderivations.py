@@ -288,12 +288,8 @@ def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[Spars
     anchors are (g1, g2) for identity (1) and (g2, g3) for identity (2).
     """
     coords = PairCoords(w, cfg)
-    m = SparseMatrix(coords.col_count)
-    for row in identity1_rows(coords, cfg):
-        m.add_row(row)
-    for row in identity2_rows(coords, cfg):
-        m.add_row(row)
-    return m, coords
+    rows = [*identity1_rows(coords, cfg), *identity2_rows(coords, cfg)]
+    return SparseMatrix(coords.col_count, rows), coords
 
 
 def predicted_biderivation_maps(w: Window, cfg: AlgebraConfig) -> List[BilinearMap]:

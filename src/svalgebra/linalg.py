@@ -2,9 +2,9 @@
 
 Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros: a
 stored zero anywhere in an input row or vector raises ZeroDivisionError.
-It is tested where rows enter, once per entry: `SparseMatrix` refuses one
-at construction (`add_row` drops zero entries instead), and `span_basis`,
-`SpanBasis.reduce` and `contains` refuse one in their vectors.
+It is tested where rows enter, once per entry: `SparseMatrix` refuses one,
+then a column out of range, at construction (`add_row` drops zeros), and
+`span_basis`, `SpanBasis.reduce` and `contains` refuse one in their vectors.
 Everything is computed by pivoted exact Gaussian elimination over
 ``fractions.Fraction`` into the reduced echelon form (each pivot row has
 leading entry 1 and is zero at every other leading column), which `_Rref`
@@ -84,15 +84,18 @@ def _refuse_stored_zeros(rows: Iterable[SparseVec]) -> None:
 
 @dataclass
 class SparseMatrix:
-    """Row-sparse rational matrix with a fixed column count.  No row stores
-    a zero: `add_row` drops zero entries, and the constructor refuses rows
-    that store one."""
+    """Row-sparse rational matrix with a fixed column count.  The
+    constructor refuses a stored zero, then a column out of range;
+    `add_row` drops zeros and refuses a column out of range."""
 
     col_count: int
     rows: List[SparseVec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         _refuse_stored_zeros(self.rows)
+        for row in self.rows:
+            if row and (min(row) < 0 or max(row) >= self.col_count):
+                raise ValueError("row entry outside column range")
 
     @property
     def row_count(self) -> int:

@@ -195,10 +195,7 @@ def derivation_rows(table: BracketTable) -> Iterator[SparseVec]:
 def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, OperatorCoords]:
     """The exact linear system cutting out all window derivations."""
     coords = OperatorCoords(w, cfg)
-    m = SparseMatrix(coords.col_count)
-    for row in derivation_rows(BracketTable(w, cfg)):
-        m.add_row(row)
-    return m, coords
+    return SparseMatrix(coords.col_count, list(derivation_rows(BracketTable(w, cfg)))), coords
 
 
 def predicted_derivation_operators(w: Window, cfg: AlgebraConfig) -> List[LinearOperator]:

@@ -32,10 +32,10 @@ product values and brackets the instance needs, on demand from
 the product tensor itself as the unknown and works with the windowed axiom
 system for window-supported tensors: symmetry rows, the faithful axiom-7
 rows shared with the biderivation solver, and the axiom-6 rows, which are
-quadratic in the unknowns.  The quadratic rows are used soundly: a row whose
-quadratic part vanishes identically on the current solution enclosure (which
-is certain when every contributing column pair misses the enclosure's
-support) degenerates to its linear part, and only such rows are imposed.
+quadratic in the unknowns.  The quadratic rows are used soundly: a row none
+of whose column pairs lies in the support of the current solution enclosure
+has a quadratic part that vanishes on the whole enclosure, so it forces its
+one linear column to zero (`_trim_step`, set algebra on that support).
 Iterating this trim keeps an enclosure of the true solution set at every
 step, so `interior_dimension == 0` is a proof that all window solutions
 vanish on the interior, while a nonzero value only reports possible
@@ -524,11 +524,12 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     """Enclose all window tensors satisfying the axioms; test the interior.
 
     The enclosure starts as the kernel of the linear rows (symmetry plus the
-    faithful axiom-7 rows) and is trimmed by axiom-6 rows whose quadratic
-    part provably vanishes on the whole current enclosure.  Because the
-    bracket of two generators is a monomial, each usable axiom-6 row forces
-    one tensor coordinate to zero.  See the module docstring for why the
-    result is an enclosure and what the verdict does and does not claim.
+    faithful axiom-7 rows).  The bracket of two generators is a monomial, so
+    each axiom-6 row has one linear column; `_trim_step` forces it to zero
+    when no quadratic term of the row has both columns in the support, and
+    the enclosure shrinks to its part vanishing on every forced column,
+    until no column is new.  See the module docstring for why the result is
+    an enclosure and what the verdict does and does not claim.
     """
     if w.radius < 3:
         raise ValueError("brute post-Lie solve needs window radius >= 3")
@@ -536,60 +537,29 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     table = BracketTable(w, cfg)
     n = coords.n
 
-    m = SparseMatrix(coords.col_count)
-    for a in range(n):
-        for b in range(a + 1, n):
-            base_ab = (a * n + b) * n
-            base_ba = (b * n + a) * n
-            for k in range(n):
-                m.add_row({base_ab + k: _ONE, base_ba + k: -_ONE})
-    for row in identity2_rows(coords, cfg):
-        m.add_row(row)
-    linear_rows = m.row_count
-    kernel = kernel_basis(m)
-    basis = [dict(v) for v in kernel.vectors]
+    rows: List[SparseVec] = [
+        {(a * n + b) * n + k: _ONE, (b * n + a) * n + k: -_ONE}
+        for a in range(n) for b in range(a + 1, n) for k in range(n)
+    ]
+    rows.extend(identity2_rows(coords, cfg))
+    kernel = kernel_basis(SparseMatrix(coords.col_count, rows))
 
-    # ((x, y), z, h) instances with a nonzero in-window bracket; the linear
-    # part is the single coordinate ((b, z), h) scaled by the bracket
-    # coefficient, the quadratic part couples ((y, z), g) with ((x, g), h)
-    # and ((x, z), g) with ((y, g), h) over all window g
-    instances: List[Tuple[int, int, int, int, int, int]] = []
+    # (x, y, b) with [x, y] a nonzero multiple of the window generator b
+    closed: List[Tuple[int, int, int]] = []
     for x in range(n):
         for y in range(x + 1, n):
             br = table.product[x * n + y]
-            if br is None or br[0] == OUTSIDE:
-                continue
-            b = br[0]
-            for z in range(n):
-                base_b = (b * n + z) * n
-                base_yz = (y * n + z) * n
-                base_xz = (x * n + z) * n
-                for k in range(n):
-                    instances.append((base_b + k, base_yz, x * n, base_xz, y * n, k))
-    quadratic_instances = len(instances)
+            if br is not None and br[0] != OUTSIDE:
+                closed.append((x, y, br[0]))
 
     forced: Set[int] = set()
+    basis: Sequence[SparseVec] = kernel.vectors
     iterations = 0
     interior_cols = coords.interior_columns()
     while True:
         iterations += 1
-        supp: Set[int] = set()
-        for v in basis:
-            supp.update(v)
-        new_forced: Set[int] = set()
-        for lin_col, base_yz, row_x, base_xz, row_y, k in instances:
-            if lin_col in forced or lin_col not in supp:
-                continue
-            ok = True
-            for g in range(n):
-                if base_yz + g in supp and (row_x + g) * n + k in supp:
-                    ok = False
-                    break
-                if base_xz + g in supp and (row_y + g) * n + k in supp:
-                    ok = False
-                    break
-            if ok:
-                new_forced.add(lin_col)
+        # _trim_basis vectors vanish on the forced columns: each step forces new ones
+        new_forced = _trim_step(closed, n, basis)
         if not new_forced:
             break
         forced.update(new_forced)
@@ -602,14 +572,43 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
         window=w,
         epsilon=cfg.epsilon,
         columns=coords.col_count,
-        linear_rows=linear_rows,
+        linear_rows=len(rows),
         kernel_dimension=kernel.dimension,
-        quadratic_instances=quadratic_instances,
+        quadratic_instances=len(closed) * n * n,
         forced_columns=len(forced),
         iterations=iterations,
         final_dimension=len(basis),
         interior_dimension=interior.dimension,
     )
+
+
+def _trim_step(closed: Sequence[Tuple[int, int, int]], n: int, basis: Sequence[SparseVec]) -> Set[int]:
+    """The columns that axiom-6 rows force to zero on span(basis).
+
+    Column ((p, g), k) is (p * n + g) * n + k, and ks[p * n + g] holds the k
+    with ((p, g), k) in the support.  For (x, y, b) in ``closed`` and each z,
+    row ((x, y), z, k) pairs ((y, z), g) with ((x, g), k) and ((x, z), g)
+    with ((y, g), k), so it forces ((b, z), k) for each k in ks[b * n + z]
+    outside the blocked set: the union of ks[x * n + g] over g in
+    ks[y * n + z] and of ks[y * n + g] over g in ks[x * n + z].
+    """
+    ks: List[Set[int]] = [set() for _ in range(n * n)]
+    for v in basis:
+        for col in v:
+            ks[col // n].add(col % n)
+    forced: Set[int] = set()
+    for x, y, b in closed:
+        for z in range(n):
+            live = ks[b * n + z]
+            if not live:
+                continue
+            blocked: Set[int] = set()
+            for g in ks[y * n + z]:
+                blocked |= ks[x * n + g]
+            for g in ks[x * n + z]:
+                blocked |= ks[y * n + g]
+            forced.update((b * n + z) * n + k for k in live - blocked)
+    return forced
 
 
 def _trim_basis(vectors: Sequence[SparseVec], forced: Set[int]) -> List[SparseVec]:

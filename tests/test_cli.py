@@ -549,7 +549,8 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
-        # e.g. a mis-indexed constraint row failing SparseMatrix.add_row
+        # e.g. a mis-indexed constraint row refused by the SparseMatrix
+        # constructor's column-range check
         def broken(w, cfg):
             raise ValueError("row entry outside column range")
 

@@ -159,6 +159,26 @@ def test_oracle_shares_only_the_forced_pass():
     assert not names & {"_eliminate", "_Rref", "_reduce", "vec_add_scaled"}
 
 
+ROW_BUILDERS = {
+    "operators": "derivation_constraint_matrix",
+    "biderivations": "biderivation_constraint_matrix",
+    "postlie": "solve_postlie_window",
+}
+
+
+def test_row_builders_hand_their_rows_over_once():
+    """The assembled systems go to the ``SparseMatrix`` constructor as one
+    row list, never row by row through ``add_row``, and the brute enclosure
+    is trimmed by ``_trim_step``.  The scan stops at ``_trim_basis``, which
+    builds its small system of forced columns with ``add_row``."""
+    for module, builder in ROW_BUILDERS.items():
+        source = (PACKAGE / f"{module}.py").read_text()
+        names = reached(source, builder, {"_trim_basis"})
+        assert "SparseMatrix" in names, builder
+        assert "add_row" not in names, builder
+    assert "_trim_step" in reached((PACKAGE / "postlie.py").read_text(), "solve_postlie_window", set())
+
+
 POSTLIE_ELEMENT_HELPERS = {"_left_product", "_right_product", "_axiom5_defect", "_axiom6_defect", "_axiom7_defect"}
 
 

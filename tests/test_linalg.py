@@ -69,6 +69,29 @@ def test_add_row_validates_range():
     assert m.row_count == 1
 
 
+@pytest.mark.parametrize("row", [{3: F(1)}, {-1: F(1)}, {0: F(1), 3: F(2)}], ids=["past-the-end", "negative", "second-entry"])
+def test_constructor_validates_range(row):
+    """The constructor makes the column test `add_row` makes, so rows
+    handed over as a list lose no check."""
+    with pytest.raises(ValueError, match="row entry outside column range"):
+        SparseMatrix(3, [row])
+
+
+def test_constructor_refuses_a_stored_zero_before_the_range():
+    with pytest.raises(ZeroDivisionError):
+        SparseMatrix(3, [{0: F(0), 3: F(1)}])
+    with pytest.raises(ZeroDivisionError):
+        SparseMatrix(3, [{5: F(1)}, {0: F(0)}])
+
+
+def test_constructor_keeps_rows_as_given():
+    assert SparseMatrix(3, [{}]).row_count == 1  # zero rows are legal
+    rows = [{}, {2: F(1), 0: F(-1)}]
+    m = SparseMatrix(3, rows)
+    assert m.rows is rows and m.row_count == 2
+    assert list(m.rows[1]) == [2, 0]
+
+
 def test_kernel_simple():
     # x + y = 0, y + z = 0  ->  kernel spanned by (1, -1, 1)
     m = SparseMatrix(3)

@@ -1,5 +1,6 @@
 """Commutative product axioms, triviality witnesses and the window sweep."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -32,8 +33,8 @@ from svalgebra import (
     triviality_witness,
     verify_triviality_theorem,
 )
-from svalgebra.postlie import _product_values, _sweep_forms
-from svalgebra.windows import MAX_RECORDED
+from svalgebra.postlie import _product_values, _sweep_forms, _trim_step
+from svalgebra.windows import MAX_RECORDED, OUTSIDE, BracketTable
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -240,12 +241,23 @@ class TestBridge:
 
 class TestBruteSolve:
     @pytest.mark.parametrize(
-        "eps, kernel, forced",
-        [(Fraction(0), 127, 509), (Fraction(1, 2), 107, 419)],
+        "radius, eps, columns, linear_rows, kernel, quadratic, forced",
+        [
+            (3, Fraction(0), 9261, 50148, 127, 43218, 509),
+            (3, Fraction(1, 2), 8000, 40400, 107, 35200, 419),
+            (4, Fraction(0), 19683, 135270, 205, 121014, 957),
+            (4, Fraction(1, 2), 17576, 114270, 211, 104104, 859),
+            (5, Fraction(0), 35937, 299772, 309, 276606, 1717),
+            (5, Fraction(1, 2), 32768, 260160, 291, 241664, 1609),
+        ],
+        ids=["N3-eps0", "N3-eps1/2", "N4-eps0", "N4-eps1/2", "N5-eps0", "N5-eps1/2"],
     )
-    def test_window3_collapses_to_zero(self, eps, kernel, forced):
-        br = solve_postlie_window(Window(3), AlgebraConfig(eps))
+    def test_window_collapses_to_zero(self, radius, eps, columns, linear_rows, kernel, quadratic, forced):
+        br = solve_postlie_window(Window(radius), AlgebraConfig(eps))
+        assert br.columns == columns
+        assert br.linear_rows == linear_rows
         assert br.kernel_dimension == kernel
+        assert br.quadratic_instances == quadratic
         assert br.forced_columns == forced
         assert br.iterations == 2
         assert br.final_dimension == 0
@@ -261,6 +273,90 @@ class TestBruteSolve:
         rep = verify_triviality_theorem(Window(5), CFG0, brute=Window(3))
         assert rep.all_ok
         assert rep.brute is not None and rep.brute.conclusive
+
+
+# -- the trim rule of the brute enclosure, against the instance loop ---------
+# A verbatim copy of the instance list and trim loop that ran in
+# ``solve_postlie_window`` before the rule moved into ``postlie._trim_step``:
+# one instance per ((x, y), z, k), each tested against every window g.
+
+
+def _reference_trim_step(table, n, supp, forced):
+    instances = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            br = table.product[x * n + y]
+            if br is None or br[0] == OUTSIDE:
+                continue
+            b = br[0]
+            for z in range(n):
+                base_b = (b * n + z) * n
+                base_yz = (y * n + z) * n
+                base_xz = (x * n + z) * n
+                for k in range(n):
+                    instances.append((base_b + k, base_yz, x * n, base_xz, y * n, k))
+    quadratic_instances = len(instances)
+
+    new_forced = set()
+    for lin_col, base_yz, row_x, base_xz, row_y, k in instances:
+        if lin_col in forced or lin_col not in supp:
+            continue
+        ok = True
+        for g in range(n):
+            if base_yz + g in supp and (row_x + g) * n + k in supp:
+                ok = False
+                break
+            if base_xz + g in supp and (row_y + g) * n + k in supp:
+                ok = False
+                break
+        if ok:
+            new_forced.add(lin_col)
+    return quadratic_instances, new_forced
+
+
+@functools.cache
+def _trim_window(radius, eps):
+    """The bracket table of one window and its ``closed`` list: the (x, y, b)
+    with x < y and [x, y] a nonzero multiple of the window generator b."""
+    table = BracketTable(Window(radius), AlgebraConfig(eps))
+    n = table.n
+    products = [(x, y, table.product[x * n + y]) for x in range(n) for y in range(x + 1, n)]
+    return table, [(x, y, br[0]) for x, y, br in products if br is not None and br[0] != OUTSIDE]
+
+
+@st.composite
+def trim_cases(draw):
+    """A window of radius 2 or 3, either parity, and a random support on its
+    ``PairCoords`` columns, split over one to three basis vectors, with a
+    drawn forced set that the support avoids, as a trimmed basis does.  The
+    density runs from a few columns, where the rows force what they reach,
+    to nine tenths of the columns, where most rows are blocked."""
+    radius = draw(st.sampled_from([2, 3]))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    table, closed = _trim_window(radius, eps)
+    cols = table.n ** 3
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0005, 0.003, 0.02, 0.1, 0.5, 0.9]))
+    forced_density = draw(st.sampled_from([0, 0.01, 0.1]))
+    forced = {c for c in range(cols) if rng.random() < forced_density}
+    supp = {c for c in range(cols) if rng.random() < density} - forced
+    parts = draw(st.integers(1, 3))
+    basis = [{} for _ in range(parts)]
+    for c in supp:
+        basis[rng.randrange(parts)][c] = Fraction(rng.choice([-2, -1, 1, 3]))
+    return table, closed, supp, forced, basis
+
+
+@given(trim_cases())
+@settings(max_examples=40, deadline=None)
+def test_trim_step_matches_the_instance_loop(case):
+    table, closed, supp, forced, basis = case
+    n = table.n
+    quadratic_instances, want = _reference_trim_step(table, n, supp, forced)
+    got = _trim_step(closed, n, basis)
+    assert got == want
+    assert quadratic_instances == len(closed) * n * n
+    assert got <= supp
 
 
 # -- the Element-based checker, kept as the reference ------------------------
