@@ -258,27 +258,34 @@ def representable_shifts(w: Window) -> List[int]:
     return list(range(-cap, cap + 1))
 
 
-def identity1_rows(coords: PairCoords, cfg: AlgebraConfig):
-    """Faithful rows of identity (1), anchored at the bracketed pair: for
-    each g3 the derivation rows of the slice f(., g3), whose operator
-    column (g, h) is the tensor column (g, g3, h)."""
-    rows = list(derivation_rows(BracketTable(coords.window, cfg)))
-    n = coords.n
+def _identity1_slices(rows: List[SparseVec], n: int):
+    """The derivation rows of every slice f(., g3), whose operator column
+    (g, h) is the tensor column (g, g3, h)."""
     for p3 in range(n):
         for row in rows:
             yield {(c // n * n + p3) * n + c % n: x for c, x in row.items()}
 
 
-def identity2_rows(coords: PairCoords, cfg: AlgebraConfig):
-    """Faithful rows of identity (2), anchored at the bracketed pair: for
-    each g1 the derivation rows of the slice f(g1, .), whose operator
-    column (g, h) is the tensor column (g1, g, h)."""
-    rows = list(derivation_rows(BracketTable(coords.window, cfg)))
-    step = coords.n * coords.n
-    for p1 in range(coords.n):
+def _identity2_slices(rows: List[SparseVec], n: int):
+    """The derivation rows of every slice f(g1, .), whose operator column
+    (g, h) is the tensor column (g1, g, h)."""
+    step = n * n
+    for p1 in range(n):
         shift = p1 * step
         for row in rows:
             yield {c + shift: x for c, x in row.items()}
+
+
+def identity1_rows(coords: PairCoords, cfg: AlgebraConfig):
+    """Faithful rows of identity (1), anchored at the bracketed pair: for
+    each g3 the derivation rows of the slice f(., g3)."""
+    return _identity1_slices(list(derivation_rows(BracketTable(coords.window, cfg))), coords.n)
+
+
+def identity2_rows(coords: PairCoords, cfg: AlgebraConfig):
+    """Faithful rows of identity (2), anchored at the bracketed pair: for
+    each g1 the derivation rows of the slice f(g1, .)."""
+    return _identity2_slices(list(derivation_rows(BracketTable(coords.window, cfg))), coords.n)
 
 
 def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, PairCoords]:
@@ -286,9 +293,11 @@ def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[Spars
 
     One row per identity, closed triple and faithful output coordinate;
     anchors are (g1, g2) for identity (1) and (g2, g3) for identity (2).
+    Both identities read one list of the window's derivation rows.
     """
     coords = PairCoords(w, cfg)
-    rows = [*identity1_rows(coords, cfg), *identity2_rows(coords, cfg)]
+    der = list(derivation_rows(BracketTable(w, cfg)))
+    rows = [*_identity1_slices(der, coords.n), *_identity2_slices(der, coords.n)]
     return SparseMatrix(coords.col_count, rows), coords
 
 

@@ -14,6 +14,18 @@ with ``pattern.match(text, pos)``: ``_SPACE`` (``\s*``), ``_RATIONAL``
 helper takes ``(text, pos)`` and returns ``(value, new_pos)``.  Whitespace
 is exactly what ``str.isspace()`` accepts, which is what ``\s`` matches.
 
+Each distinct token of one call is converted once.  Every public entry
+point makes a token memo, a dict that lives for that call only (for the
+``parse_*_lines`` readers, one whole file), and hands it down to
+``_generator`` and ``_rational``.  A generator is keyed on the exact text
+it reads, from its family letter through the first ``]``; a rational on
+its matched token.  A token's value depends only on its text and ``cfg``,
+so a hit returns what the full read would.  Only successes are stored: a
+failing token is read in full every time, so its ParseError or
+DomainError always carries the message and position of that read.  The
+memo is never module state, so no call sees a token read by another one,
+under another epsilon perhaps.
+
 Whitespace may separate tokens, but a rational is one token: none may
 follow its ``-`` or surround its ``/`` (``L[- 1]``, ``1 /2*L[0]``), nor
 stand between ``mu`` and ``[``.  Digits are ASCII ``0``-``9`` (``\d``
@@ -58,6 +70,11 @@ __all__ = [
 _SPACE = re.compile(r"\s*")
 _RATIONAL = re.compile(r"(-?)([0-9]*)(?:/([0-9]*))?")
 _FAMILY = re.compile(r"[LYM]")
+_ONE = Fraction(1)
+
+# token text -> value, made afresh by each public entry point: a generator
+# key starts with its family letter, which no rational token contains
+_Memo = Dict[str, Any]
 
 
 class ParseError(ValueError):
@@ -100,47 +117,59 @@ def _int(digits: str, pos: int) -> int:
         raise ParseError(f"too many digits ({len(digits)})", pos) from None
 
 
-def _rational(text: str, pos: int) -> Tuple[Fraction, int]:
+def _rational(text: str, pos: int, memo: _Memo) -> Tuple[Fraction, int]:
     m = _RATIONAL.match(text, _skip(text, pos))
-    minus, num_digits, den_digits = m.groups()
-    num = _int(num_digits, m.start(2))
-    den = 1
-    if den_digits is not None:
-        den = _int(den_digits, m.start(3))
-        if den == 0:
-            raise ParseError("zero denominator", m.start(3))
-    return Fraction(-num if minus else num, den), m.end()
+    token = m.group()
+    value = memo.get(token)
+    if value is None:
+        minus, num_digits, den_digits = m.groups()
+        num = _int(num_digits, m.start(2))
+        den = 1
+        if den_digits is not None:
+            den = _int(den_digits, m.start(3))
+            if den == 0:
+                raise ParseError("zero denominator", m.start(3))
+        value = memo[token] = Fraction(-num if minus else num, den)
+    return value, m.end()
 
 
-def _generator(text: str, pos: int, cfg: AlgebraConfig) -> Tuple[GeneratorId, int]:
+def _generator(text: str, pos: int, cfg: AlgebraConfig, memo: _Memo) -> Tuple[GeneratorId, int]:
     pos = _skip(text, pos)
+    # a successful read ends at the first "]" after pos, since nothing it
+    # reads before that bracket can be one: that slice is the memo key
+    end = text.find("]", pos) + 1
+    key = text[pos:end]
+    g = memo.get(key) if end else None
+    if g is not None:
+        return g, end
     if not _FAMILY.match(text, pos):
         raise ParseError("expected generator family L, Y or M", pos)
     fam = text[pos]
-    index, pos = _rational(text, _expect(text, pos + 1, "["))
+    index, pos = _rational(text, _expect(text, pos + 1, "["), memo)
     pos = _expect(text, pos, "]")
     g = gen(fam, index)
     if not cfg.valid_index(fam, index):
         raise DomainError(
             f"index {index} invalid for family {fam} at epsilon={cfg.epsilon}"
         )
+    memo[key] = g
     return g, pos
 
 
-def _term(text: str, pos: int, cfg: AlgebraConfig) -> Tuple[Fraction, GeneratorId, int]:
+def _term(text: str, pos: int, cfg: AlgebraConfig, memo: _Memo) -> Tuple[Fraction, GeneratorId, int]:
     pos = _skip(text, pos)
     if _FAMILY.match(text, pos):
-        g, pos = _generator(text, pos, cfg)
-        return Fraction(1), g, pos
-    coeff, end = _rational(text, pos)
+        g, pos = _generator(text, pos, cfg, memo)
+        return _ONE, g, pos
+    coeff, end = _rational(text, pos, memo)
     end = _skip(text, end)
     if not text.startswith("*", end):
         raise ParseError("lone rational: a coefficient needs '*' and a generator", pos)
-    g, end = _generator(text, end + 1, cfg)
+    g, end = _generator(text, end + 1, cfg, memo)
     return coeff, g, end
 
 
-def parse_element(text: str, cfg: AlgebraConfig) -> Element:
+def _element(text: str, cfg: AlgebraConfig, memo: _Memo) -> Element:
     if text.strip() == "0":
         return Element()
     pos = _skip(text, 0)
@@ -151,10 +180,11 @@ def parse_element(text: str, cfg: AlgebraConfig) -> Element:
     if sign in ("+", "-"):
         pos += 1
     while True:
-        coeff, g, pos = _term(text, pos, cfg)
+        coeff, g, pos = _term(text, pos, cfg, memo)
         if sign == "-":
             coeff = -coeff
-        nv = acc.get(g, Fraction(0)) + coeff
+        old = acc.get(g)
+        nv = coeff if old is None else old + coeff
         if nv:
             acc[g] = nv
         else:
@@ -169,16 +199,28 @@ def parse_element(text: str, cfg: AlgebraConfig) -> Element:
     return Element(acc)
 
 
-def parse_generator(text: str, cfg: AlgebraConfig) -> GeneratorId:
-    g, pos = _generator(text, 0, cfg)
+def _whole_generator(text: str, cfg: AlgebraConfig, memo: _Memo) -> GeneratorId:
+    g, pos = _generator(text, 0, cfg, memo)
     _end(text, pos, "generator")
     return g
 
 
-def parse_rational(text: str) -> Fraction:
-    r, pos = _rational(text, 0)
+def _whole_rational(text: str, memo: _Memo) -> Fraction:
+    r, pos = _rational(text, 0, memo)
     _end(text, pos, "rational")
     return r
+
+
+def parse_element(text: str, cfg: AlgebraConfig) -> Element:
+    return _element(text, cfg, {})
+
+
+def parse_generator(text: str, cfg: AlgebraConfig) -> GeneratorId:
+    return _whole_generator(text, cfg, {})
+
+
+def parse_rational(text: str) -> Fraction:
+    return _whole_rational(text, {})
 
 
 def _on_line(lineno: int, exc: ValueError) -> ValueError:
@@ -213,8 +255,10 @@ def parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Ele
     operator constructor, not here.
     """
 
+    memo: _Memo = {}
+
     def entry(lhs: str, rhs: str) -> Tuple[GeneratorId, Element]:
-        return parse_generator(lhs, cfg), parse_element(rhs, cfg)
+        return _whole_generator(lhs, cfg, memo), _element(rhs, cfg, memo)
 
     action: Dict[GeneratorId, Element] = {}
     for lineno, g, img in _entries(text, "->", entry):
@@ -227,11 +271,13 @@ def parse_operator_lines(text: str, cfg: AlgebraConfig) -> Dict[GeneratorId, Ele
 def parse_tensor_lines(text: str, cfg: AlgebraConfig) -> Dict[Tuple[GeneratorId, GeneratorId], Element]:
     """Tensor file: `(GEN, GEN) -> element` lines, `#` comments."""
 
+    memo: _Memo = {}
+
     def entry(lhs: str, rhs: str) -> Tuple[Tuple[GeneratorId, GeneratorId], Element]:
-        g1, pos = _generator(lhs, _expect(lhs, 0, "("), cfg)
-        g2, pos = _generator(lhs, _expect(lhs, pos, ","), cfg)
+        g1, pos = _generator(lhs, _expect(lhs, 0, "("), cfg, memo)
+        g2, pos = _generator(lhs, _expect(lhs, pos, ","), cfg, memo)
         _end(lhs, _expect(lhs, pos, ")"), "pair")
-        return (g1, g2), parse_element(rhs, cfg)
+        return (g1, g2), _element(rhs, cfg, memo)
 
     tensor: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
     for lineno, (g1, g2), img in _entries(text, "->", entry):
@@ -241,11 +287,11 @@ def parse_tensor_lines(text: str, cfg: AlgebraConfig) -> Dict[Tuple[GeneratorId,
     return tensor
 
 
-def _shift_entry(lhs: str, rhs: str) -> Tuple[int, Fraction]:
+def _shift_entry(lhs: str, rhs: str, memo: _Memo) -> Tuple[int, Fraction]:
     if not (lhs.startswith("mu[") and lhs.endswith("]")):
         raise ParseError("expected mu[k] on the left", 0)
-    k = parse_rational(lhs[3:-1].strip())
-    value = parse_rational(rhs)
+    k = _whole_rational(lhs[3:-1].strip(), memo)
+    value = _whole_rational(rhs, memo)
     if k.denominator != 1:
         raise DomainError(f"shift {k} is not an integer")
     return int(k), value
@@ -254,8 +300,9 @@ def _shift_entry(lhs: str, rhs: str) -> Tuple[int, Fraction]:
 def parse_omega_lines(text: str) -> Dict[int, Fraction]:
     """Shift-set file: `mu[k] = rational` lines, `#` comments, each integer
     k at most once (zero values too, which are then dropped)."""
+    memo: _Memo = {}
     mu: Dict[int, Fraction] = {}
-    for lineno, k, value in _entries(text, "=", _shift_entry):
+    for lineno, k, value in _entries(text, "=", lambda lhs, rhs: _shift_entry(lhs, rhs, memo)):
         if k in mu:
             raise ParseError(f"line {lineno}: duplicate shift {k}", 0)
         mu[k] = value

@@ -60,7 +60,7 @@ from .biderivations import (
     BiderivationForm,
     BilinearMap,
     PairCoords,
-    identity2_rows,
+    _identity2_slices,
     realize,
 )
 from .linalg import (
@@ -72,6 +72,7 @@ from .linalg import (
     span_basis,
     vec_bump,
 )
+from .operators import derivation_rows
 from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
@@ -541,7 +542,7 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
         {(a * n + b) * n + k: _ONE, (b * n + a) * n + k: -_ONE}
         for a in range(n) for b in range(a + 1, n) for k in range(n)
     ]
-    rows.extend(identity2_rows(coords, cfg))
+    rows.extend(_identity2_slices(list(derivation_rows(table)), n))
     kernel = kernel_basis(SparseMatrix(coords.col_count, rows))
 
     # (x, y, b) with [x, y] a nonzero multiple of the window generator b

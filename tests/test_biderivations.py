@@ -27,9 +27,11 @@ from svalgebra import (
     representable_shifts,
     skew_kernel_members,
 )
-from svalgebra.biderivations import PairCoords, predicted_biderivation_maps
+from svalgebra.biderivations import PairCoords, biderivation_constraint_matrix, predicted_biderivation_maps
 from svalgebra.linalg import kernel_dimension_modp, span_basis
 from svalgebra.operators import DecompositionError, project_columns
+from svalgebra.postlie import solve_postlie_window
+from svalgebra.windows import BracketTable
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -323,3 +325,21 @@ class TestWindowTensorPlumbing:
                     h: c for h, c in f.value(g1, g2).terms.items() if w.contains(h)
                 }
                 assert g.value(g1, g2) == Element(want)
+
+
+@pytest.mark.parametrize(
+    "build", [biderivation_constraint_matrix, solve_postlie_window], ids=["matrix", "brute"]
+)
+def test_one_bracket_table_per_system(build, monkeypatch):
+    """Both identities, and the brute enclosure's identity-2 rows, read
+    the derivation rows of one bracket table of the window."""
+    made = []
+    init = BracketTable.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BracketTable, "__init__", counting_init)
+    build(Window(3), CFG0)
+    assert len(made) == 1

@@ -2,7 +2,8 @@
 the package exports exactly the names its ``__init__`` imports, one
 function builds an exact elimination, the mod-p oracle shares only the
 forced-zero presolve with it, the post-Lie checker evaluates instances
-without the Element bracket, and the parser has no character cursor.
+without the Element bracket, and the parser has no character cursor and
+keeps no state between calls.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
@@ -214,3 +215,63 @@ def test_parser_matches_patterns_without_a_cursor():
     }
     assert not defined & CURSOR_PARSER
     assert not {called for _, called in calls(source)} & {"peek", "skip_ws", "take"}
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def lasting_containers(source: str):
+    """Line numbers of the dict, list and set values bound at module or
+    class level, other than ``__all__``, and of the imports and uses of a
+    functools cache decorator: state that outlives one call."""
+    tree = ast.parse(source)
+    found = []
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for stmt in body:
+            if isinstance(stmt, ast.Assign):
+                targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) and stmt.value is not None:
+                targets = [stmt.target.id] if isinstance(stmt.target, ast.Name) else []
+            else:
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call):
+                func = value.func
+                value = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if (isinstance(value, CONTAINERS) or value in CONTAINER_CALLS) and targets != ["__all__"]:
+                found.append(stmt.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in CACHES for alias in node.names):
+                found.append(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name in CACHES:
+                    found.append(deco.lineno)
+    return found
+
+
+def test_scan_sees_lasting_containers():
+    source = (
+        "import re\nfrom fractions import Fraction\n__all__ = ['f']\n"
+        "_P = re.compile('x')\n_ONE = Fraction(1)\n"
+        "_MEMO = {}\n_SEEN: set = set()\n"
+        "class C:\n    rows = [1]\n"
+        "from functools import lru_cache, partial\nimport functools\n"
+        "@lru_cache(maxsize=None)\ndef f():\n    local = {}\n    return local\n"
+        "@functools.cache\ndef g():\n    return partial(f)\n"
+    )
+    assert sorted(lasting_containers(source)) == [6, 7, 9, 10, 12, 16]
+
+
+def test_parser_keeps_no_state_between_calls():
+    """The parser's token memo is made by each public entry point and
+    dropped when it returns: ``parsing.py`` binds no dict, list or set at
+    module or class level (``__all__`` aside) and uses no functools cache.
+    Compiled patterns and Fraction constants are allowed."""
+    assert lasting_containers((PACKAGE / "parsing.py").read_text()) == []

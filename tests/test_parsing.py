@@ -595,6 +595,10 @@ def _edited_realized_text(draw):
 @example("L[0] -> M[0]\nL[0] -> 0")
 @example("\u3000 0\x85")
 @example("-0")
+@example("(L[0], L[1]) -> L[1]\n(L[1], L[0]) -> 2*L[1]\n(L[2], L[1) -> L[1 + L[2]")
+@example("(L[ 1 ], L[1]) -> L[ 1 ] + L[1]\n(L[1], L[ 1]) -> L[1 ]")
+@example("(L[0], Y[0]) -> Y[0]\n(L[1], Y[0]) -> Y[0] + Y[1/2]")
+@example("L[0] -> 1/2*M[0]\nL[1] -> 1/2*M[1] + 1/2*L[1]\nL[2] -> 1/0*M[2]")
 @settings(max_examples=400, deadline=None)
 def test_parsers_match_the_reference(text):
     for name, new, old in _ENTRY_POINTS:
@@ -607,6 +611,49 @@ def test_realized_n5_files_match_the_reference(label):
     form = BiderivationForm(Fraction(5, 3), {0: Fraction(-1, 2), 3: Fraction(7)})
     text = format_tensor_lines(realize(form, Window(5), cfg).tensor)
     assert parse_tensor_lines(text, cfg) == _reference_parse_tensor_lines(text, cfg)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_element, "3/2*Y[1/2] - Y[1/2]"),
+        (parse_generator, "Y[1/2]"),
+        (parse_operator_lines, "Y[1/2] -> 3/2*Y[1/2]"),
+        (parse_tensor_lines, "(L[0], Y[1/2]) -> 3/2*Y[1/2]"),
+    ],
+    ids=["element", "generator", "operator", "tensor"],
+)
+def test_no_token_outlives_its_call(parse, text):
+    """A token read under epsilon = 1/2 is read afresh under epsilon = 0."""
+    first = parse(text, CFG_HALF)
+    with pytest.raises(DomainError):
+        parse(text, CFG0)
+    assert parse(text, CFG_HALF) == first
+
+
+@pytest.mark.parametrize("label", sorted(_CFGS))
+def test_tensor_file_converts_each_distinct_token_once(label):
+    """Each distinct generator and coefficient text of a file becomes a
+    Fraction once: a realized N=5 file costs fewer than 4
+    ``Fraction.__new__`` calls per line (over 10 when every occurrence
+    was converted again)."""
+    cfg = _CFGS[label]
+    form = BiderivationForm(Fraction(5, 3), {0: Fraction(-1, 2), 3: Fraction(7)})
+    text = format_tensor_lines(realize(form, Window(5), cfg).tensor)
+    new = Fraction.__new__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is new:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        parse_tensor_lines(text, cfg)
+    finally:
+        sys.setprofile(None)
+    assert calls < 4 * len(text.splitlines())
 
 
 def test_space_pattern_is_str_isspace():
