@@ -86,6 +86,10 @@ class GeneratorId:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __reduce__(self) -> Tuple[object, Tuple[str, Fraction]]:
+        # string hashes are seeded per process: unpickle through gen, which rehashes
+        return gen, (self.family, self.index)
+
     def __str__(self) -> str:
         return f"{self.family}[{format_rational(self.index)}]"
 

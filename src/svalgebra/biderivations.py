@@ -46,8 +46,7 @@ from .linalg import (
     KernelComparison,
     SparseMatrix,
     SparseVec,
-    kernel_combinations,
-    vec_bump,
+    vanishing_combinations,
 )
 from .operators import (
     OUTER_DERIVATIONS,
@@ -328,23 +327,18 @@ def classify_biderivations(w: Window, cfg: AlgebraConfig) -> BiderivationClassif
 def skew_kernel_members(bc: BiderivationClassification) -> List[SparseVec]:
     """Basis of the skewsymmetric subspace of the solver kernel.
 
-    Solves for kernel combinations whose symmetrization vanishes; the
-    returned vectors decode to skewsymmetric window maps.
+    The kernel combinations whose symmetrization vanishes: the entries at
+    ((p1, p2), h) and ((p2, p1), h) sum to zero.  The returned vectors
+    decode to skewsymmetric window maps.
     """
-    basis = bc.kernel.vectors
-    coords = bc.coords
-    rows: Dict[Tuple[GeneratorId, GeneratorId, GeneratorId], SparseVec] = {}
-    for i, v in enumerate(basis):
-        for col, c in v.items():
-            g1, g2, h = coords.at(col)
-            a, b = (g1, g2) if g1.sort_key() <= g2.sort_key() else (g2, g1)
-            vec_bump(rows.setdefault((a, b, h), {}), i, c)
-    m = SparseMatrix(len(basis))
-    for key in sorted(
-        rows, key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key())
-    ):
-        m.add_row(rows[key])
-    return kernel_combinations(m, basis)
+    n = bc.coords.n
+
+    def unordered(col: int) -> int:
+        pair, h = divmod(col, n)
+        p1, p2 = divmod(pair, n)
+        return (min(p1, p2) * n + max(p1, p2)) * n + h
+
+    return vanishing_combinations(bc.kernel.vectors, unordered)
 
 
 def match_form(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Optional[BiderivationForm]:

@@ -25,6 +25,11 @@ only rows with two or more live columns reach the elimination.  Each
 result is read off a unique canonical form, so it is exactly that of
 eliminating every row.
 
+`vanishing_combinations` is the one cut of a span by conditions on its
+coordinates (skewsymmetric biderivations, the trimmed post-Lie enclosure).
+The package hands every system to `SparseMatrix` as one row list;
+`add_row` is kept for callers outside it.
+
 `KernelComparison` is the one test every classification here goes
 through: the exact kernel of a window's constraint matrix against the span
 of the classified family, compared on the coordinates the window cannot
@@ -43,7 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
-from typing import Any, Container, DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Container, DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 SparseVec = Dict[int, Fraction]
 
@@ -296,13 +301,22 @@ def kernel_basis(m: SparseMatrix) -> SpanBasis:
     return span_basis(kernel_vecs, m.col_count)
 
 
-def kernel_combinations(m: SparseMatrix, vectors: Sequence[SparseVec]) -> List[SparseVec]:
-    """sum_i c_i * vectors[i] for each vector c of the kernel basis of m,
-    whose columns index the vectors."""
+def vanishing_combinations(vectors: Sequence[SparseVec], group: Callable[[int], Any]) -> List[SparseVec]:
+    """Basis of the part of span(vectors) whose entries sum to zero over
+    each group of columns: column c lies in group ``group(c)``, and a group
+    of None leaves the column free.  It is sum_i k_i * vectors[i] for each
+    k of the canonical kernel basis of the group sums, whose rows are taken
+    in ascending group order, so even the key order of the result is fixed."""
+    sums: Dict[Any, SparseVec] = {}
+    for i, v in enumerate(vectors):
+        for c, x in v.items():
+            key = group(c)
+            if key is not None:
+                vec_bump(sums.setdefault(key, {}), i, x)
     out: List[SparseVec] = []
-    for c in kernel_basis(m).vectors:
+    for k in kernel_basis(SparseMatrix(len(vectors), [sums[key] for key in sorted(sums)])).vectors:
         v: SparseVec = {}
-        for i, x in c.items():
+        for i, x in k.items():
             vec_add_scaled(v, vectors[i], x)
         out.append(v)
     return out

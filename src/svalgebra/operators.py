@@ -24,8 +24,9 @@ that coordinate exists inside the window.  Concretely the inner bracket
 every re-bracketed image coordinate.  Window restrictions of genuine
 derivations then satisfy every emitted row exactly, with no tolerance.
 Rows are computed from the window's integer-position bracket table
-(``windows.BracketTable``): every term is a table lookup plus integer
-column arithmetic, with no generator or index arithmetic per row.
+(``windows.BracketTable``), which lists the closed pairs once: every term
+is a table lookup plus integer column arithmetic, with no generator or
+index arithmetic per row.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from .linalg import (
     vec_bump,
 )
 from .parsing import DomainError
-from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
+from .windows import BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
 M0 = gen("M", 0)
 
@@ -173,23 +174,19 @@ class OperatorCoords(WindowCoords):
 
 
 def derivation_rows(table: BracketTable) -> Iterator[SparseVec]:
-    """One row per (unordered pair, faithful output coordinate), on the
-    ``OperatorCoords`` columns of the table's window; see the module
-    docstring for the emission rule."""
+    """One row per (closed pair of ``table.pairs``, faithful output
+    coordinate), on the ``OperatorCoords`` columns of the table's window;
+    see the module docstring for the emission rule."""
     n = table.n
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            br = table.product[p1 * n + p2]
-            if br is not None and br[0] == OUTSIDE:
-                continue
-            for h in table.anchored_targets(p1, p2):
-                row: SparseVec = {} if br is None else {br[0] * n + h: br[1]}
-                # -[op(g1), g2] at h, then -[g1, op(g2)] at h
-                for p, c in table.right[p2 * n + h]:
-                    vec_bump(row, p1 * n + p, -c)
-                for p, c in table.left[p1 * n + h]:
-                    vec_bump(row, p2 * n + p, -c)
-                yield row
+    for p1, p2, t, ct in table.pairs:
+        for h in table.anchored_targets(p1, p2):
+            row: SparseVec = {t * n + h: ct} if ct else {}
+            # -[op(g1), g2] at h, then -[g1, op(g2)] at h
+            for p, c in table.right[p2 * n + h]:
+                vec_bump(row, p1 * n + p, -c)
+            for p, c in table.left[p1 * n + h]:
+                vec_bump(row, p2 * n + p, -c)
+            yield row
 
 
 def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, OperatorCoords]:
@@ -249,7 +246,7 @@ def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> D
     inconsistent (op is not of the classified shape on this window).
     """
     xs = [g for g in w.generators(cfg) if g != M0]
-    m = SparseMatrix(len(xs) + len(OUTER_DERIVATIONS))
+    equations: List[SparseVec] = []
     rhs: List[Fraction] = []
     for g in w.interior_generators(cfg):
         target = op.apply_basis(g)
@@ -263,8 +260,9 @@ def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> D
         for h in target.terms:
             rows.setdefault(h, {})
         for h in sorted(rows, key=GeneratorId.sort_key):
-            m.add_row(rows[h])
+            equations.append(rows[h])
             rhs.append(target.coefficient(h))
+    m = SparseMatrix(len(xs) + len(OUTER_DERIVATIONS), equations)
     sol = solve_linear(m, rhs)
     if sol is None:
         raise DecompositionError(

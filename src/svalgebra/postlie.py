@@ -67,13 +67,13 @@ from .linalg import (
     SparseMatrix,
     SparseVec,
     kernel_basis,
-    kernel_combinations,
     project_columns,
     span_basis,
+    vanishing_combinations,
     vec_bump,
 )
 from .operators import derivation_rows
-from .windows import MAX_RECORDED, OUTSIDE, BracketTable, DefectReport, Window
+from .windows import MAX_RECORDED, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
 Values = Callable[[GeneratorId, GeneratorId], Element]
@@ -546,12 +546,7 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     kernel = kernel_basis(SparseMatrix(coords.col_count, rows))
 
     # (x, y, b) with [x, y] a nonzero multiple of the window generator b
-    closed: List[Tuple[int, int, int]] = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            br = table.product[x * n + y]
-            if br is not None and br[0] != OUTSIDE:
-                closed.append((x, y, br[0]))
+    closed = [(x, y, b) for x, y, b, c in table.pairs if c]
 
     forced: Set[int] = set()
     basis: Sequence[SparseVec] = kernel.vectors
@@ -559,12 +554,12 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     interior_cols = coords.interior_columns()
     while True:
         iterations += 1
-        # _trim_basis vectors vanish on the forced columns: each step forces new ones
+        # the trimmed vectors vanish on the forced columns: each step forces new ones
         new_forced = _trim_step(closed, n, basis)
         if not new_forced:
             break
         forced.update(new_forced)
-        basis = _trim_basis(kernel.vectors, forced)
+        basis = vanishing_combinations(kernel.vectors, lambda c: c if c in forced else None)
         if not basis:
             break
 
@@ -610,16 +605,3 @@ def _trim_step(closed: Sequence[Tuple[int, int, int]], n: int, basis: Sequence[S
                 blocked |= ks[y * n + g]
             forced.update((b * n + z) * n + k for k in live - blocked)
     return forced
-
-
-def _trim_basis(vectors: Sequence[SparseVec], forced: Set[int]) -> List[SparseVec]:
-    """Basis of the subspace of span(vectors) vanishing on the forced columns."""
-    col_index: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for i, v in enumerate(vectors):
-        for c, x in v.items():
-            if c in forced:
-                col_index.setdefault(c, []).append((i, x))
-    reduced = SparseMatrix(len(vectors))
-    for c in sorted(col_index):
-        reduced.add_row(dict(col_index[c]))
-    return kernel_combinations(reduced, vectors)

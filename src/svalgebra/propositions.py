@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Set, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .linalg import KernelComparison, SparseMatrix, SparseVec, SpanBasis
 from .windows import Window
@@ -71,13 +72,13 @@ class GridCoords:
     def encode(
         self,
         family_entries: Dict[Tuple[str, int, int], Fraction],
-        functional_entries: Dict[Tuple[str, int], Fraction] = {},
+        functional_entries: Optional[Dict[Tuple[str, int], Fraction]] = None,
     ) -> SparseVec:
         v: SparseVec = {}
         for (name, m, i), c in family_entries.items():
             if c:
                 v[self.family_col(name, m, i)] = Fraction(c)
-        for (name, m), c in functional_entries.items():
+        for (name, m), c in (functional_entries or {}).items():
             if c:
                 v[self.functional_col(name, m)] = Fraction(c)
         return v
@@ -98,6 +99,21 @@ def representable_grid_shifts(w_radius: int) -> List[int]:
     return list(range(-budget, budget + 1))
 
 
+def _system(coords: GridCoords, rows: Iterable[Tuple[Label, SparseVec]]) -> Tuple[SparseMatrix, List[Label]]:
+    """The matrix of the (label, row) pairs in order, with zero coefficients
+    dropped and rows left empty kept, and its labels."""
+    pairs = list(rows)
+    kept = [{c: x for c, x in row.items() if x} for _, row in pairs]
+    return SparseMatrix(coords.col_count, kept), [label for label, _ in pairs]
+
+
+def _shifted_triples(coords: GridCoords) -> Iterator[Tuple[int, int, int, int]]:
+    """(m, n, i, j = n-m+i) over all in-window m, n, i with j in-window."""
+    for m, n, i in product(range(-coords.radius, coords.radius + 1), repeat=3):
+        if coords.in_window(n - m + i):
+            yield m, n, i, n - m + i
+
+
 def _two_family_rows(
     coords: GridCoords,
     left: Callable[[int, int, int], Fraction],
@@ -105,24 +121,11 @@ def _two_family_rows(
 ) -> Tuple[SparseMatrix, List[Label]]:
     """Rows left(m,n,i)*a[m; i] = right(m,n,i)*b[n; n-m+i] over all
     in-window (m, n, i) with n-m+i in-window, for coords.families = (a, b)."""
-    a, b = coords.families
-    m_ = SparseMatrix(coords.col_count)
-    labels: List[Label] = []
-    rng = range(-coords.radius, coords.radius + 1)
-    for m in rng:
-        for n in rng:
-            for i in rng:
-                j = n - m + i
-                if not coords.in_window(j):
-                    continue
-                m_.add_row(
-                    {
-                        coords.family_col(a, m, i): left(m, n, i),
-                        coords.family_col(b, n, j): -right(m, n, i),
-                    }
-                )
-                labels.append(("eq", m, n, i))
-    return m_, labels
+    (a, b), col = coords.families, coords.family_col
+    return _system(coords, (
+        (("eq", m, n, i), {col(a, m, i): left(m, n, i), col(b, n, j): -right(m, n, i)})
+        for m, n, i, j in _shifted_triples(coords)
+    ))
 
 
 def prop1_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
@@ -189,49 +192,30 @@ def prop3_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
         raise ValueError("window radius must be >= 3")
     w_radius = w.radius
     coords = GridCoords(w_radius, ("s", "e"), ("rho1", "rho2", "theta1", "theta2"))
-    m_ = SparseMatrix(coords.col_count)
-    labels: List[Label] = []
     rng = range(-w_radius, w_radius + 1)
-    for m in rng:
-        for n in rng:
-            for i in rng:
-                if i == 0 or i == m - n:
-                    continue
-                j = n - m + i
-                if not coords.in_window(j):
-                    continue
-                # i = 0 and i = m - n (that is j = 0) are skipped: both entries are nonzero
-                m_.add_row(
-                    {
-                        coords.family_col("s", m, i): Fraction(i),
-                        coords.family_col("e", n, j): Fraction(j),
-                    }
-                )
-                labels.append(("eq-s-e", m, n, i))
-    for m in rng:
-        for n in rng:
-            if m == n or not coords.in_window(n - m):
-                continue
-            row = {
-                coords.functional_col("rho1", m): Fraction(1),
-                coords.family_col("e", n, n - m): Fraction(n - m),
-            }
-            if n:
-                row[coords.functional_col("rho2", m)] = Fraction(n)
-            m_.add_row(row)
-            labels.append(("eq-rho", m, n))
-    for m in rng:
-        for n in rng:
-            if m == n or not coords.in_window(m - n):
-                continue
-            row = {
-                coords.functional_col("theta1", n): Fraction(1),
-                coords.family_col("s", m, m - n): Fraction(n - m),
-            }
-            if m:
-                row[coords.functional_col("theta2", n)] = Fraction(m)
-            m_.add_row(row)
-            labels.append(("eq-theta", m, n))
+    col, fun = coords.family_col, coords.functional_col
+
+    def rows() -> Iterator[Tuple[Label, SparseVec]]:
+        for m, n, i, j in _shifted_triples(coords):
+            # i = 0 and i = m - n (that is j = 0) are skipped: both entries are nonzero
+            if i and j:
+                yield ("eq-s-e", m, n, i), {col("s", m, i): Fraction(i), col("e", n, j): Fraction(j)}
+        for m, n in product(rng, rng):
+            if m != n and coords.in_window(n - m):
+                yield ("eq-rho", m, n), {
+                    fun("rho1", m): Fraction(1),
+                    col("e", n, n - m): Fraction(n - m),
+                    fun("rho2", m): Fraction(n),
+                }
+        for m, n in product(rng, rng):
+            if m != n and coords.in_window(m - n):
+                yield ("eq-theta", m, n), {
+                    fun("theta1", n): Fraction(1),
+                    col("s", m, m - n): Fraction(n - m),
+                    fun("theta2", n): Fraction(m),
+                }
+
+    m_, labels = _system(coords, rows())
     predicted: List[SparseVec] = []
     for k in range(-2 * w_radius, 2 * w_radius + 1):
         v = prop3_spike(coords, k)
@@ -253,19 +237,12 @@ def prop4_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
         raise ValueError("window radius must be >= 3")
     w_radius = w.radius
     coords = GridCoords(w_radius, ("q",))
-    m_ = SparseMatrix(coords.col_count)
-    labels: List[Label] = []
     rng = range(-w_radius, w_radius + 1)
-    for m in rng:
-        for n in rng:
-            for i in rng:
-                if i == n or i == m - n:
-                    continue
-                c = Fraction(m, 2) - i
-                if not c:
-                    continue
-                m_.add_row({coords.family_col("q", n, i): c})
-                labels.append(("eq", m, n, i))
+    m_, labels = _system(coords, (
+        (("eq", m, n, i), {coords.family_col("q", n, i): Fraction(m, 2) - i})
+        for m, n, i in product(rng, repeat=3)
+        if i != n and i != m - n and Fraction(m, 2) != i
+    ))
     predicted = [coords.encode({("q", n, n): Fraction(1)}) for n in rng]
     free_dirs: List[Label] = [("fam", "q", n, n) for n in rng]
     report = PropositionReport.of(coords, m_, predicted, row_labels=labels, free_directions=free_dirs)

@@ -149,6 +149,10 @@ class BracketTable:
     order, hold every in-window (p, c): ``left`` with [partner, p] =
     c*target, ``right`` with [p, partner] = c*target.  Because the algebra
     is graded, these lookups replace all index arithmetic on generators.
+
+    ``pairs`` lists the closed pairs a < b, whose bracket vanishes or stays
+    in the window, ascending, as (a, b, target position, coefficient), with
+    target and coefficient 0 when the bracket vanishes.
     """
 
     def __init__(self, w: Window, cfg: AlgebraConfig):
@@ -161,6 +165,7 @@ class BracketTable:
         self.product: List[Optional[Tuple[int, Fraction]]] = []
         self.left: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
         self.right: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
+        self.pairs: List[Tuple[int, int, int, Fraction]] = []
         for a, ga in enumerate(gens):
             for b, gb in enumerate(gens):
                 entry = None
@@ -171,6 +176,8 @@ class BracketTable:
                         self.left[a * n + t].append((b, c))
                         self.right[b * n + t].append((a, c))
                 self.product.append(entry)
+                if a < b and (entry is None or entry[0] != OUTSIDE):
+                    self.pairs.append((a, b) + (entry or (0, Fraction(0))))
 
     def anchored_targets(self, a: int, b: int) -> List[int]:
         """Positions whose index lies within N of the indices at a and b."""
@@ -204,10 +211,9 @@ class LeibnizCheck:
     ValueError naming a value generator whose index is not a half-integer,
     or a bracket whose coefficient is not; generators of SV(eps) never are.
 
-    ``pairs`` lists the window pairs a < b whose bracket stays in the
-    window, ascending, as (a, b, target position, doubled coefficient),
-    with coefficient and target 0 when the bracket vanishes.  The rule at
-    (b, a) is the negative of the one at (a, b), and zero at (a, a).
+    ``pairs`` is ``BracketTable.pairs`` with doubled coefficients, kept in
+    the check's own table, so the check builds no ``BracketTable``.  The
+    rule at (b, a) is the negative of the one at (a, b), and zero at (a, a).
     """
 
     def __init__(self, w: Window, cfg: AlgebraConfig, values: Sequence[Mapping[GeneratorId, Fraction]]):

@@ -169,15 +169,33 @@ ROW_BUILDERS = {
 
 def test_row_builders_hand_their_rows_over_once():
     """The assembled systems go to the ``SparseMatrix`` constructor as one
-    row list, never row by row through ``add_row``, and the brute enclosure
-    is trimmed by ``_trim_step``.  The scan stops at ``_trim_basis``, which
-    builds its small system of forced columns with ``add_row``."""
+    row list, never row by row through ``add_row``: no function of the
+    package calls ``add_row``, which is kept for callers outside it.  The
+    brute enclosure is trimmed by ``_trim_step``, and a span is cut by
+    conditions on its coordinates in one place, ``linalg.vanishing_combinations``,
+    which the skewsymmetric biderivations and the brute enclosure call;
+    ``kernel_combinations`` and ``_trim_basis``, which it replaced, are gone."""
+    sources = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES + ["__init__"]}
     for module, builder in ROW_BUILDERS.items():
-        source = (PACKAGE / f"{module}.py").read_text()
-        names = reached(source, builder, {"_trim_basis"})
+        names = reached(sources[module], builder, set())
         assert "SparseMatrix" in names, builder
         assert "add_row" not in names, builder
-    assert "_trim_step" in reached((PACKAGE / "postlie.py").read_text(), "solve_postlie_window", set())
+    assert "_trim_step" in reached(sources["postlie"], "solve_postlie_window", set())
+    assert [f"{m}.{w}" for m, source in sources.items() for w in callers(source, "add_row")] == []
+    defined = {
+        f"{module}.{node.name}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert [name for name in defined if name.endswith(".vanishing_combinations")] == ["linalg.vanishing_combinations"]
+    assert not {name.split(".")[-1] for name in defined} & {"kernel_combinations", "_trim_basis"}
+    users = sorted(
+        f"{module}.{where}"
+        for module, source in sources.items()
+        for where in callers(source, "vanishing_combinations")
+    )
+    assert users == ["biderivations.skew_kernel_members", "postlie.solve_postlie_window"]
 
 
 POSTLIE_ELEMENT_HELPERS = {"_left_product", "_right_product", "_axiom5_defect", "_axiom6_defect", "_axiom7_defect"}
