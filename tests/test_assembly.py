@@ -156,13 +156,6 @@ def test_proposition_rows_match_the_row_by_row_builders(name, radius):
     assert report.row_labels == labels
 
 
-def test_prop1_keeps_its_empty_rows():
-    """A row whose every coefficient vanishes stays, with its label."""
-    _, report = prop1_solve(Window(2))
-    empty = [label for label, row in zip(report.row_labels, report.matrix.rows) if not row]
-    assert empty and len(report.row_labels) == report.matrix.row_count
-
-
 def _reference_kernel_combinations(m, vectors):
     out = []
     for c in kernel_basis(m).vectors:
