@@ -16,7 +16,10 @@ with brackets
     [Y_m, M_n] = [M_m, M_n] = 0
 
 All coefficients are ``fractions.Fraction``; nothing here is ever
-approximate.  M_0 is central.
+approximate.  M_0 is central.  A scalar is an int or a Fraction, and
+``exact`` is where one enters: a float's binary value is rarely the number
+meant, and text goes through ``parsing``.  ``format_rational`` is the one
+printer of a rational, exact at any length.
 """
 from __future__ import annotations
 
@@ -28,7 +31,16 @@ Scalar = Union[int, Fraction]
 
 HALF = Fraction(1, 2)
 
-FAMILIES = ("L", "Y", "M")
+
+def exact(x: Scalar) -> Fraction:
+    """A scalar as a Fraction: a Fraction unchanged, an int converted, and
+    TypeError for anything else (a float, a string, ...)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"a scalar is an int or a Fraction, got {type(x).__name__} {x!r}")
+
 _FAMILY_RANK = {"L": 0, "Y": 1, "M": 2}
 
 
@@ -39,9 +51,9 @@ class AlgebraConfig:
     epsilon: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        eps = Fraction(self.epsilon)
+        eps = exact(self.epsilon)
         if eps not in (Fraction(0), HALF):
-            raise ValueError(f"epsilon must be 0 or 1/2, got {self.epsilon}")
+            raise ValueError(f"epsilon must be 0 or 1/2, got {format_rational(eps)}")
         object.__setattr__(self, "epsilon", eps)
 
     def valid_index(self, family: str, index: Fraction) -> bool:
@@ -68,7 +80,7 @@ class GeneratorId:
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_RANK:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "index", Fraction(self.index))
+        object.__setattr__(self, "index", exact(self.index))
         object.__setattr__(self, "_hash", hash((self.family, self.index)))
 
     def sort_key(self) -> Tuple[int, Fraction]:
@@ -98,7 +110,7 @@ _GEN_CACHE: Dict[Tuple[str, Fraction], GeneratorId] = {}
 
 
 def gen(family: str, index: Scalar) -> GeneratorId:
-    index = Fraction(index)
+    index = exact(index)
     g = _GEN_CACHE.get((family, index))
     if g is None:
         g = GeneratorId(family, index)
@@ -109,7 +121,8 @@ def gen(family: str, index: Scalar) -> GeneratorId:
 def validate_generator(g: GeneratorId, cfg: AlgebraConfig) -> None:
     """Raise ValueError unless g's index lies on its family's lattice."""
     if not cfg.valid_index(g.family, g.index):
-        raise ValueError(f"index {g.index} invalid for family {g.family} at epsilon={cfg.epsilon}")
+        index = format_rational(g.index)
+        raise ValueError(f"index {index} invalid for family {g.family} at epsilon={cfg.epsilon}")
 
 
 def grade(g: GeneratorId) -> Fraction:
@@ -129,7 +142,8 @@ class Element:
         clean: Dict[GeneratorId, Fraction] = {}
         if terms:
             for g, c in terms.items():
-                c = Fraction(c)
+                if c.__class__ is not Fraction:
+                    c = exact(c)
                 if c:
                     clean[g] = c
         self.terms = clean
@@ -173,7 +187,7 @@ class Element:
         return self + (-other)
 
     def scaled(self, c: Scalar) -> "Element":
-        c = Fraction(c)
+        c = exact(c)
         res = Element.__new__(Element)
         res.terms = {} if not c else {g: c * x for g, x in self.terms.items()}
         return res

@@ -40,6 +40,8 @@ from .algebra import (
     Scalar,
     bracket,
     bracket_basis,
+    exact,
+    format_rational,
     gen,
 )
 from .linalg import (
@@ -71,9 +73,9 @@ class OmegaSet:
     def __init__(self, mu: Mapping[int, Scalar] = ()):  # type: ignore[assignment]
         entries = []
         for k, v in dict(mu).items():
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"shift {k!r} is not an integer")
-            v = Fraction(v)
+            v = exact(v)
             if v:
                 entries.append((k, v))
         entries.sort()
@@ -98,7 +100,7 @@ class OmegaSet:
     def __str__(self) -> str:
         if not self.mu:
             return "{}"
-        return "{" + ", ".join(f"mu[{k}]={v}" for k, v in self.mu) + "}"
+        return "{" + ", ".join(f"mu[{format_rational(k)}]={format_rational(v)}" for k, v in self.mu) + "}"
 
 
 EMPTY_OMEGA = OmegaSet({})
@@ -112,7 +114,7 @@ class BiderivationForm:
     omega: OmegaSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "lam", exact(self.lam))
         if not isinstance(self.omega, OmegaSet):
             object.__setattr__(self, "omega", OmegaSet(self.omega))
 
@@ -129,7 +131,7 @@ class BiderivationForm:
         return bracket_basis(g1, g2, cfg).scaled(self.lam) + tail
 
     def __str__(self) -> str:
-        return f"(lam={self.lam}, omega={self.omega})"
+        return f"(lam={format_rational(self.lam)}, omega={self.omega})"
 
 
 @dataclass
@@ -317,8 +319,7 @@ class BiderivationClassification(KernelComparison):
 
 
 def classify_biderivations(w: Window, cfg: AlgebraConfig) -> BiderivationClassification:
-    if w.radius < 3:
-        raise ValueError("biderivation solver needs window radius >= 3")
+    w.require(3, "biderivation solver")
     m, coords = biderivation_constraint_matrix(w, cfg)
     predicted = [coords.encode(f) for f in predicted_biderivation_maps(w, cfg)]
     return BiderivationClassification.of(coords, m, predicted, shifts=representable_shifts(w))
@@ -351,8 +352,7 @@ def match_form(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Optional[Bideri
     coefficients.  Returns None on any mismatch, and raises ValueError
     below radius 2, where the interior holds a single L generator.
     """
-    if w.radius < 2:
-        raise ValueError("form matching needs window radius >= 2")
+    w.require(2, "form matching")
     interior = w.interior_generators(cfg)
     l_gens = [g for g in interior if g.family == "L"]
     g1, g2 = l_gens[:2]

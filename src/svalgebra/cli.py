@@ -2,10 +2,15 @@
 
 One subcommand per verification or solver entry point.  Every subcommand
 accepts the shared flags --epsilon {0,1/2}, -N/--window, --json and --seed
-after the subcommand name.  In JSON mode each run prints a single object
-whose keys come in a fixed order for a given subcommand: command, epsilon,
-window, seed, verdict, then the subcommand's own fields.  All rationals are
-serialized as strings, elements as expressions the parser accepts back.
+after the subcommand name.  Numbers in flags are read with the rational
+grammar of elements (``parsing.parse_rational``); an integer flag is a
+rational equal to an integer.  ``build_parser`` is the subcommand table:
+each subcommand carries its handler and, where it has one, the smallest
+window radius it can use, which ``main`` checks before the handler runs.
+In JSON mode each run prints a single object whose keys come in a fixed
+order for a given subcommand: command, epsilon, window, seed, verdict,
+then the subcommand's own fields.  All rationals are serialized as
+strings, elements as expressions the parser accepts back.
 
 Exit status: 0 means verified or trivial, 1 means a defect, witness or
 mismatch was found, 2 means the invocation itself was unusable (bad flags,
@@ -23,11 +28,12 @@ import json
 import sys
 import traceback
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraConfig, bracket, format_element, format_rational
 from .biderivations import (
     BiderivationForm,
+    BilinearMap,
     biderivation_defects,
     bilinear_map_on_window,
     classify_biderivations,
@@ -36,6 +42,7 @@ from .biderivations import (
 from .linalg import KernelComparison
 from .operators import (
     DecompositionError,
+    LinearOperator,
     classify_derivations,
     decompose_derivation,
     derivation_defect,
@@ -46,6 +53,7 @@ from .parsing import (
     ParseError,
     parse_element,
     parse_operator_lines,
+    parse_rational,
     parse_tensor_lines,
 )
 from .postlie import axiom_defect, triviality_witness
@@ -59,39 +67,41 @@ class UsageError(ValueError):
     """Invocation problem: reported on stderr, exit status 2."""
 
 
-def _fraction_arg(text: str) -> Fraction:
+Payload = Dict[str, object]
+Outcome = Tuple[int, Payload, List[str]]
+
+
+def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except ParseError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _integer_arg(text: str) -> int:
+    q = _rational_arg(text)
+    if q.denominator != 1:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return q.numerator
 
 
 def _mu_arg(text: str) -> Tuple[int, Fraction]:
     k, sep, v = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"--mu expects K=V, got {text!r}")
-    try:
-        shift = int(k)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--mu shift must be an integer, got {k!r}")
-    try:
-        value = Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"--mu value not a rational: {v!r} ({exc})")
-    return shift, value
+    return _integer_arg(k), _rational_arg(v)
 
 
-def _window_arg(text: str) -> int:
+def _window_arg(text: str) -> Window:
     try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"window radius must be an integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("window radius must be >= 1")
-    return n
+        return Window(_integer_arg(text))
+    except ValueError as exc:  # radius below 1
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand table: each subcommand's parser carries its handler
+    and, where it has one, the smallest window radius it can use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--epsilon",
@@ -103,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
         "-N",
         "--window",
         type=_window_arg,
-        default=6,
+        default=Window(6),
         help="window radius (default 6)",
     )
     common.add_argument("--json", action="store_true", help="emit one JSON object")
     common.add_argument(
         "--seed",
-        type=int,
+        type=_integer_arg,
         default=None,
         help="seed echoed into reports; reserved for randomized sweeps",
     )
@@ -120,34 +130,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", parents=[common], help="evaluate [X, Y]")
+    def add(name, handler, summary, min_window=1, file=False):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler, min_window=min_window)
+        if file:
+            p.add_argument("file")
+        return p
+
+    p = add("bracket", _cmd_bracket, "evaluate [X, Y]")
     p.add_argument("x", metavar="X")
     p.add_argument("y", metavar="Y")
-
-    sub.add_parser("jacobi", parents=[common], help="exhaustive Lie axiom check")
-
-    p = sub.add_parser("check-derivation", parents=[common], help="Leibniz check of an operator file")
-    p.add_argument("file")
-
-    sub.add_parser("solve-derivations", parents=[common], help="kernel of the derivation system")
-
-    p = sub.add_parser(
-        "decompose-derivation", parents=[common], help="split an operator file into the classified shape"
-    )
-    p.add_argument("file")
-
-    p = sub.add_parser("check-biderivation", parents=[common], help="identity check of a tensor file")
-    p.add_argument("file")
-
-    sub.add_parser("solve-biderivations", parents=[common], help="kernel of the biderivation system")
-
-    p = sub.add_parser("match-form", parents=[common], help="fit a tensor file to the classified shape")
-    p.add_argument("file")
-
-    sub.add_parser("props", parents=[common], help="the four coefficient-recurrence systems")
-
-    p = sub.add_parser("postlie", parents=[common], help="triviality witness for a parametric product")
-    p.add_argument("--lambda", dest="lam", type=_fraction_arg, default=Fraction(0),
+    add("jacobi", _cmd_jacobi, "exhaustive Lie axiom check")
+    add("check-derivation", _cmd_check_derivation, "Leibniz check of an operator file", file=True)
+    add("solve-derivations", _cmd_solve_derivations, "kernel of the derivation system", min_window=3)
+    add("decompose-derivation", _cmd_decompose_derivation, "split an operator file into the classified shape",
+        file=True)
+    add("check-biderivation", _cmd_check_biderivation, "identity check of a tensor file", file=True)
+    add("solve-biderivations", _cmd_solve_biderivations, "kernel of the biderivation system", min_window=3)
+    add("match-form", _cmd_match_form, "fit a tensor file to the classified shape", min_window=2, file=True)
+    add("props", _cmd_props, "the four coefficient-recurrence systems", min_window=3)
+    p = add("postlie", _cmd_postlie, "triviality witness for a parametric product", min_window=5)
+    p.add_argument("--lambda", dest="lam", type=_rational_arg, default=Fraction(0),
                    help="bracket multiple (default 0)")
     p.add_argument("--mu", dest="mu", type=_mu_arg, action="append", default=[],
                    metavar="K=V", help="shift tail entry, repeatable")
@@ -159,8 +162,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-Payload = Dict[str, object]
-Outcome = Tuple[int, Payload, List[str]]
+def _operator_file(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> LinearOperator:
+    """The operator file of ``ns``, completed by zero on the window."""
+    return operator_from_action(parse_operator_lines(_read(ns.file), cfg), w, cfg, label=ns.file)
+
+
+def _tensor_file(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> BilinearMap:
+    """The tensor file of ``ns``, completed by zero on the window."""
+    return bilinear_map_on_window(parse_tensor_lines(_read(ns.file), cfg), w, cfg, label=ns.file)
+
+
 
 
 def _cmd_bracket(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
@@ -193,9 +204,7 @@ def _cmd_jacobi(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcom
 
 
 def _cmd_check_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    action = parse_operator_lines(_read(ns.file), cfg)
-    op = operator_from_action(action, w, cfg, label=ns.file)
-    return _defect_outcome(derivation_defect(op, w, cfg), "derivation", "defect-found")
+    return _defect_outcome(derivation_defect(_operator_file(ns, cfg, w), w, cfg), "derivation", "defect-found")
 
 
 def _classification_outcome(dc: KernelComparison, extra: Payload) -> Outcome:
@@ -226,8 +235,7 @@ def _cmd_solve_derivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window
 
 
 def _cmd_decompose_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    action = parse_operator_lines(_read(ns.file), cfg)
-    op = operator_from_action(action, w, cfg, label=ns.file)
+    op = _operator_file(ns, cfg, w)
     try:
         dec = decompose_derivation(op, w, cfg)
     except DecompositionError as exc:
@@ -244,9 +252,7 @@ def _cmd_decompose_derivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Win
 
 
 def _cmd_check_biderivation(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    tensor = parse_tensor_lines(_read(ns.file), cfg)
-    f = bilinear_map_on_window(tensor, w, cfg, label=ns.file)
-    return _defect_outcome(biderivation_defects(f, w, cfg), "biderivation", "defect-found")
+    return _defect_outcome(biderivation_defects(_tensor_file(ns, cfg, w), w, cfg), "biderivation", "defect-found")
 
 
 def _cmd_solve_biderivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
@@ -255,9 +261,7 @@ def _cmd_solve_biderivations(ns: argparse.Namespace, cfg: AlgebraConfig, w: Wind
 
 
 def _cmd_match_form(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
-    tensor = parse_tensor_lines(_read(ns.file), cfg)
-    f = bilinear_map_on_window(tensor, w, cfg, label=ns.file)
-    form = match_form(f, w, cfg)
+    form = match_form(_tensor_file(ns, cfg, w), w, cfg)
     if form is None:
         payload: Payload = {"verdict": "no-match", "lam": None, "omega": None}
         return 1, payload, ["no-match: tensor is not of the classified shape on the interior"]
@@ -323,23 +327,6 @@ def _cmd_postlie(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outco
     return 1, payload, lines
 
 
-_HANDLERS: Dict[str, Callable[[argparse.Namespace, AlgebraConfig, Window], Outcome]] = {
-    "bracket": _cmd_bracket,
-    "jacobi": _cmd_jacobi,
-    "check-derivation": _cmd_check_derivation,
-    "solve-derivations": _cmd_solve_derivations,
-    "decompose-derivation": _cmd_decompose_derivation,
-    "check-biderivation": _cmd_check_biderivation,
-    "solve-biderivations": _cmd_solve_biderivations,
-    "match-form": _cmd_match_form,
-    "props": _cmd_props,
-    "postlie": _cmd_postlie,
-}
-
-# smallest window radius each solver or fitter can use
-_MIN_WINDOW = {"solve-derivations": 3, "solve-biderivations": 3, "props": 3, "postlie": 5, "match-form": 2}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -348,19 +335,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage problems and 0 on --help; keep its code
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = AlgebraConfig(Fraction(ns.epsilon))
-    w = Window(ns.window)
+    cfg = AlgebraConfig(parse_rational(ns.epsilon))
+    w = ns.window
     try:
-        if w.radius < _MIN_WINDOW.get(ns.command, 1):
-            raise UsageError(f"{ns.command} needs -N >= {_MIN_WINDOW[ns.command]}")
-        status, payload, lines = _HANDLERS[ns.command](ns, cfg, w)
+        # before the handler runs, so before any file is read
+        if w.radius < ns.min_window:
+            raise UsageError(f"{ns.command} needs -N >= {ns.min_window}")
+        status, payload, lines = ns.handler(ns, cfg, w)
     except (UsageError, ParseError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if ns.json:
         envelope: Payload = {
             "command": ns.command,
-            "epsilon": str(cfg.epsilon),
+            "epsilon": ns.epsilon,
             "window": w.radius,
             "seed": ns.seed,
         }

@@ -208,8 +208,7 @@ def predicted_derivation_operators(w: Window, cfg: AlgebraConfig) -> List[Linear
 
 
 def classify_derivations(w: Window, cfg: AlgebraConfig) -> KernelComparison:
-    if w.radius < 3:
-        raise ValueError("derivation solver needs window radius >= 3")
+    w.require(3, "derivation solver")
     m, coords = derivation_constraint_matrix(w, cfg)
     predicted = [coords.encode(op) for op in predicted_derivation_operators(w, cfg)]
     return KernelComparison.of(coords, m, predicted)

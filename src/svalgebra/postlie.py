@@ -455,8 +455,7 @@ def verify_triviality_theorem(
     point must pass the full axiom check.  Passing `brute` additionally runs
     the independent windowed solve on that (small) window.
     """
-    if w.radius < 5:
-        raise ValueError("triviality sweep needs window radius >= 5")
+    w.require(5, "triviality sweep")
     cases: List[SweepCase] = []
     for form in _sweep_forms(w):
         wit = triviality_witness(form, cfg)
@@ -532,8 +531,7 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     until no column is new.  See the module docstring for why the result is
     an enclosure and what the verdict does and does not claim.
     """
-    if w.radius < 3:
-        raise ValueError("brute post-Lie solve needs window radius >= 3")
+    w.require(3, "brute post-Lie solve")
     coords = PairCoords(w, cfg)
     table = BracketTable(w, cfg)
     n = coords.n

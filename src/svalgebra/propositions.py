@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from .algebra import exact
 from .linalg import KernelComparison, SparseMatrix, SparseVec, SpanBasis
 from .windows import Window
 
@@ -76,11 +77,13 @@ class GridCoords:
     ) -> SparseVec:
         v: SparseVec = {}
         for (name, m, i), c in family_entries.items():
+            c = exact(c)
             if c:
-                v[self.family_col(name, m, i)] = Fraction(c)
+                v[self.family_col(name, m, i)] = c
         for (name, m), c in (functional_entries or {}).items():
+            c = exact(c)
             if c:
-                v[self.functional_col(name, m)] = Fraction(c)
+                v[self.functional_col(name, m)] = c
         return v
 
 
@@ -132,8 +135,7 @@ def prop1_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
     """System (i-n)*k[m; i] = (2m-n-i)*h[n; n-m+i] over all in-window
     (m, n, i) with n-m+i in-window.  Solution family: k[m; i] = h[m; i] =
     delta(m, i) * lam, one free parameter."""
-    if w.radius < 2:
-        raise ValueError("window radius must be >= 2")
+    w.require(2, "proposition 1")
     coords = GridCoords(w.radius, ("k", "h"))
     m_, labels = _two_family_rows(
         coords, lambda m, n, i: Fraction(i - n), lambda m, n, i: Fraction(2 * m - n - i)
@@ -149,8 +151,7 @@ def prop1_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
 def prop2_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
     """System (i-n/2)*t[m; i] = (3m/2-n-i)*g[n; n-m+i]; the only solution
     is zero, so the interior kernel must vanish."""
-    if w.radius < 3:
-        raise ValueError("window radius must be >= 3")
+    w.require(3, "proposition 2")
     coords = GridCoords(w.radius, ("t", "g"))
     m_, labels = _two_family_rows(
         coords, lambda m, n, i: i - Fraction(n, 2), lambda m, n, i: Fraction(3 * m, 2) - n - i
@@ -188,8 +189,7 @@ def prop3_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
     s[m; 0] and e[m; 0] are genuine free directions of the kernel on top
     of the shift family; both are reported.
     """
-    if w.radius < 3:
-        raise ValueError("window radius must be >= 3")
+    w.require(3, "proposition 3")
     w_radius = w.radius
     coords = GridCoords(w_radius, ("s", "e"), ("rho1", "rho2", "theta1", "theta2"))
     rng = range(-w_radius, w_radius + 1)
@@ -233,8 +233,7 @@ def prop3_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
 def prop4_solve(w: Window) -> Tuple[SpanBasis, PropositionReport]:
     """System (m/2 - i)*q[n; i] = 0 for i != n and i != m-n; only the
     diagonal q[n; n] survives."""
-    if w.radius < 3:
-        raise ValueError("window radius must be >= 3")
+    w.require(3, "proposition 4")
     w_radius = w.radius
     coords = GridCoords(w_radius, ("q",))
     rng = range(-w_radius, w_radius + 1)

@@ -9,6 +9,8 @@ reach; classification claims are always asserted on interior data only.
 A map with k arguments is encoded on ``WindowCoords`` columns (arguments,
 value generator); its interior keeps every argument within floor(N/2) and
 the value shift within ``Window.shift_budget(k)`` = N - k*floor(N/2).
+Every solver states the smallest radius it can use through
+``Window.require``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from itertools import product
 from math import lcm
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, gen, jacobi_defect
+from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, format_rational, gen, jacobi_defect
 from .linalg import SparseVec
 
 MAX_RECORDED = 100
@@ -33,6 +35,11 @@ class Window:
     def __post_init__(self) -> None:
         if self.radius < 1:
             raise ValueError("window radius must be >= 1")
+
+    def require(self, minimum: int, what: str) -> None:
+        """Raise ValueError unless the radius is at least ``minimum``."""
+        if self.radius < minimum:
+            raise ValueError(f"{what} needs window radius >= {minimum}")
 
     @property
     def interior_radius(self) -> int:
@@ -229,7 +236,7 @@ class LeibnizCheck:
             if p is None:
                 d = _twice(g.index)
                 if d is None:
-                    raise ValueError(f"generator {g}: index {g.index} is not a half-integer")
+                    raise ValueError(f"generator {g}: index {format_rational(g.index)} is not a half-integer")
                 twice.append(d)
                 p = pos[g] = len(order)
                 order.append(g)
@@ -250,7 +257,8 @@ class LeibnizCheck:
             ((t, c),) = terms.items()
             dc = _twice(c)
             if dc is None:
-                raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {c} is not a half-integer")
+                q = format_rational(c)
+                raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {q} is not a half-integer")
             return (OUTSIDE if abs(twice[x] + twice[y]) > reach else position(t)), dc
 
         # table[g * m + h] = [g, h] for window g and every value position h:

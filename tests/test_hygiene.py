@@ -2,8 +2,10 @@
 the package exports exactly the names its ``__init__`` imports, one
 function builds an exact elimination, the mod-p oracle shares only the
 forced-zero presolve with it, the post-Lie checker evaluates instances
-without the Element bracket, and the parser has no character cursor and
-keeps no state between calls.
+without the Element bracket, the parser has no character cursor and
+keeps no state between calls, solvers guard their radius only through
+``Window.require``, and the command line keeps one subcommand table and
+reads no argv text with Python's own number grammar.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
@@ -293,3 +295,84 @@ def test_parser_keeps_no_state_between_calls():
     module or class level (``__all__`` aside) and uses no functools cache.
     Compiled patterns and Fraction constants are allowed."""
     assert lasting_containers((PACKAGE / "parsing.py").read_text()) == []
+
+
+def compares(source: str):
+    """(qualified name of the function or class around it, unparsed
+    comparison) for each comparison, as `calls` names the place."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Compare):
+                found.append((".".join(where) or "<module>", child))
+            visit(child, where)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def radius_bounds(source: str):
+    """Where a window radius (an attribute ``radius``) is compared with
+    anything other than the size ``abs(...)`` of an index."""
+    found = []
+    for where, node in compares(source):
+        operands = [node.left] + node.comparators
+        if any(isinstance(o, ast.Attribute) and o.attr == "radius" for o in operands):
+            others = [o for o in operands if not (isinstance(o, ast.Attribute) and o.attr == "radius")]
+            if not all(isinstance(o, ast.Call) and getattr(o.func, "id", None) == "abs" for o in others):
+                found.append(where)
+    return found
+
+
+def test_scan_sees_radius_bounds_but_not_index_sizes():
+    source = (
+        "def solve(w):\n    if w.radius < 3:\n        raise ValueError\n"
+        "def inside(self, i):\n    return abs(i) <= self.radius\n"
+        "class W:\n    def need(self, k):\n        return k > self.radius\n"
+    )
+    assert radius_bounds(source) == ["solve", "W.need"]
+
+
+def test_one_radius_guard():
+    """Solvers state their smallest radius through ``Window.require``:
+    outside ``windows.py`` only ``cli.main`` compares a radius with a
+    minimum, for the usage error it gives before any file is read."""
+    found = [
+        f"{module}.{where}"
+        for module in MODULES + ["__init__"]
+        if module != "windows"
+        for where in radius_bounds((PACKAGE / f"{module}.py").read_text())
+    ]
+    assert found == ["cli.main"]
+
+
+def test_cli_keeps_one_subcommand_table():
+    """The subparsers carry their handlers and minimum radii: ``cli.py``
+    binds and reads no ``_HANDLERS`` or ``_MIN_WINDOW`` table."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"_HANDLERS", "_MIN_WINDOW"}
+
+
+def test_cli_reads_numbers_with_the_element_grammar():
+    """``cli.py`` converts no argv text with Python's own number grammar:
+    every call of ``Fraction`` or ``int`` there takes integer literals only."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    conversions = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("Fraction", "int")
+    ]
+    for node in conversions:
+        assert all(isinstance(a, ast.Constant) and type(a.value) is int for a in node.args), ast.unparse(node)
+        assert not node.keywords, ast.unparse(node)
+
+
+def test_unused_families_tuple_is_gone():
+    import svalgebra.algebra as algebra
+
+    assert not hasattr(algebra, "FAMILIES")
