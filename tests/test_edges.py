@@ -49,7 +49,6 @@ def run(capsys, *args):
 class TestExactScalars:
     ENTRY_POINTS = {
         "Element": lambda x: Element({gen("L", 0): x}),
-        "Element.monomial": lambda x: Element.monomial(gen("L", 0), x),
         "Element.scaled": lambda x: Element.monomial(gen("L", 0)).scaled(x),
         "gen": lambda x: gen("L", x),
         "GeneratorId": lambda x: GeneratorId("L", x),
