@@ -15,6 +15,10 @@ with brackets
     [Y_m, Y_n] = (m - n) M_{m+n}
     [Y_m, M_n] = [M_m, M_n] = 0
 
+``_STRUCTURE`` holds the first four rows; a swapped pair is the negative of
+its row.  ``validate_generator`` is the one check of the index lattices,
+and raises ``DomainError``.
+
 All coefficients are ``fractions.Fraction``; nothing here is ever
 approximate.  M_0 is central.  A scalar is an int or a Fraction, and
 ``exact`` is where one enters: a float's binary value is rarely the number
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -118,11 +122,16 @@ def gen(family: str, index: Scalar) -> GeneratorId:
     return g
 
 
+class DomainError(ValueError):
+    """An index off its family's lattice, or a generator outside the
+    window it is used on."""
+
+
 def validate_generator(g: GeneratorId, cfg: AlgebraConfig) -> None:
-    """Raise ValueError unless g's index lies on its family's lattice."""
+    """Raise DomainError unless g's index lies on its family's lattice."""
     if not cfg.valid_index(g.family, g.index):
         index = format_rational(g.index)
-        raise ValueError(f"index {index} invalid for family {g.family} at epsilon={cfg.epsilon}")
+        raise DomainError(f"index {index} invalid for family {g.family} at epsilon={cfg.epsilon}")
 
 
 def grade(g: GeneratorId) -> Fraction:
@@ -158,13 +167,6 @@ class Element:
 
     def coefficient(self, g: GeneratorId) -> Fraction:
         return self.terms.get(g, Fraction(0))
-
-    def support(self) -> Tuple[GeneratorId, ...]:
-        return tuple(sorted(self.terms, key=GeneratorId.sort_key))
-
-    def iter_terms(self) -> Iterator[Tuple[GeneratorId, Fraction]]:
-        for g in self.support():
-            yield g, self.terms[g]
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
@@ -234,7 +236,8 @@ def format_element(e: Element) -> str:
     if e.is_zero:
         return "0"
     parts = []
-    for i, (g, c) in enumerate(e.iter_terms()):
+    for i, g in enumerate(sorted(e.terms, key=GeneratorId.sort_key)):
+        c = e.terms[g]
         if i == 0:
             parts.append(f"{format_rational(c)}*{g}")
         elif c < 0:
@@ -264,34 +267,25 @@ def bracket_basis(g1: GeneratorId, g2: GeneratorId, cfg: AlgebraConfig) -> Eleme
 _BRACKET_CACHE: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
 
 
+# (family, family) -> (family of the value, its coefficient at indices m, n)
+_STRUCTURE: Dict[Tuple[str, str], Tuple[str, Callable[[Fraction, Fraction], Fraction]]] = {
+    ("L", "L"): ("L", lambda m, n: m - n),
+    ("L", "Y"): ("Y", lambda m, n: m / 2 - n),
+    ("L", "M"): ("M", lambda m, n: -n),
+    ("Y", "Y"): ("M", lambda m, n: m - n),
+}
+
+
 def _bracket_pair(g1: GeneratorId, g2: GeneratorId) -> Element:
-    f1, f2 = g1.family, g2.family
     m, n = g1.index, g2.index
-    if f1 == "L":
-        if f2 == "L":
-            coeff = m - n
-            fam = "L"
-        elif f2 == "Y":
-            coeff = m / 2 - n
-            fam = "Y"
-        else:
-            coeff = -n
-            fam = "M"
-    elif f1 == "Y":
-        if f2 == "L":
-            coeff = -(n / 2 - m)
-            fam = "Y"
-        elif f2 == "Y":
-            coeff = m - n
-            fam = "M"
-        else:
+    entry = _STRUCTURE.get((g1.family, g2.family))
+    if entry is not None:
+        fam, coeff = entry[0], entry[1](m, n)
+    else:  # antisymmetry: [g1, g2] = -[g2, g1]
+        entry = _STRUCTURE.get((g2.family, g1.family))
+        if entry is None:
             return ZERO
-    else:  # f1 == "M"
-        if f2 == "L":
-            coeff = m
-            fam = "M"
-        else:
-            return ZERO
+        fam, coeff = entry[0], -entry[1](n, m)
     if not coeff:
         return ZERO
     return Element.monomial(gen(fam, m + n), coeff)

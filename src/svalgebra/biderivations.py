@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .algebra import (
     ZERO,
     AlgebraConfig,
+    DomainError,
     Element,
     GeneratorId,
     Scalar,
@@ -58,7 +59,6 @@ from .operators import (
     derivation_rows,
     outer_image,
 )
-from .parsing import DomainError
 from .windows import BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
 Pair = Tuple[GeneratorId, GeneratorId]

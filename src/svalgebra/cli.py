@@ -3,14 +3,15 @@
 One subcommand per verification or solver entry point.  Every subcommand
 accepts the shared flags --epsilon {0,1/2}, -N/--window, --json and --seed
 after the subcommand name.  Numbers in flags are read with the rational
-grammar of elements (``parsing.parse_rational``); an integer flag is a
-rational equal to an integer.  ``build_parser`` is the subcommand table:
-each subcommand carries its handler and, where it has one, the smallest
-window radius it can use, which ``main`` checks before the handler runs.
-In JSON mode each run prints a single object whose keys come in a fixed
-order for a given subcommand: command, epsilon, window, seed, verdict,
-then the subcommand's own fields.  All rationals are serialized as
-strings, elements as expressions the parser accepts back.
+grammar of elements (``parsing.parse_rational``): an integer flag is a
+rational equal to an integer, and --epsilon takes any spelling of 0 or 1/2
+(``-0``, ``2/4``), which ``AlgebraConfig`` checks.  ``build_parser`` is the
+subcommand table: each subcommand carries its handler and, where it has
+one, the smallest window radius it can use, which ``main`` checks before
+the handler runs.  In JSON mode each run prints a single object whose keys
+come in a fixed order for a given subcommand: command, epsilon, window,
+seed, verdict, then the subcommand's own fields.  All rationals are
+serialized as strings, elements as expressions the parser accepts back.
 
 Exit status: 0 means verified or trivial, 1 means a defect, witness or
 mismatch was found, 2 means the invocation itself was unusable (bad flags,
@@ -30,7 +31,7 @@ import traceback
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraConfig, bracket, format_element, format_rational
+from .algebra import AlgebraConfig, DomainError, bracket, format_element, format_rational
 from .biderivations import (
     BiderivationForm,
     BilinearMap,
@@ -49,7 +50,6 @@ from .operators import (
     operator_from_action,
 )
 from .parsing import (
-    DomainError,
     ParseError,
     parse_element,
     parse_operator_lines,
@@ -92,6 +92,13 @@ def _mu_arg(text: str) -> Tuple[int, Fraction]:
     return _integer_arg(k), _rational_arg(v)
 
 
+def _epsilon_arg(text: str) -> AlgebraConfig:
+    try:
+        return AlgebraConfig(_rational_arg(text))
+    except ValueError as exc:  # neither 0 nor 1/2
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _window_arg(text: str) -> Window:
     try:
         return Window(_integer_arg(text))
@@ -105,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--epsilon",
-        choices=("0", "1/2"),
-        default="0",
+        type=_epsilon_arg,
+        default=AlgebraConfig(),
+        metavar="{0,1/2}",
         help="index parity of the middle family (default 0)",
     )
     common.add_argument(
@@ -170,8 +178,6 @@ def _operator_file(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Lin
 def _tensor_file(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> BilinearMap:
     """The tensor file of ``ns``, completed by zero on the window."""
     return bilinear_map_on_window(parse_tensor_lines(_read(ns.file), cfg), w, cfg, label=ns.file)
-
-
 
 
 def _cmd_bracket(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outcome:
@@ -335,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage problems and 0 on --help; keep its code
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = AlgebraConfig(parse_rational(ns.epsilon))
+    cfg = ns.epsilon
     w = ns.window
     try:
         # before the handler runs, so before any file is read
@@ -348,7 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if ns.json:
         envelope: Payload = {
             "command": ns.command,
-            "epsilon": ns.epsilon,
+            "epsilon": format_rational(cfg.epsilon),
             "window": w.radius,
             "seed": ns.seed,
         }

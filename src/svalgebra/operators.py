@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Mapping, Tuple
 from .algebra import (
     ZERO,
     AlgebraConfig,
+    DomainError,
     Element,
     GeneratorId,
     Scalar,
@@ -52,7 +53,6 @@ from .linalg import (
     solve_linear,
     vec_bump,
 )
-from .parsing import DomainError
 from .windows import BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
 M0 = gen("M", 0)

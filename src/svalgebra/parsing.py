@@ -36,7 +36,8 @@ input only: printed rationals are exact at any length.
 A lone rational is rejected with one exception: the exact input ``0``
 denotes the zero element, so the canonical printed form of every element
 parses back.  Syntax problems raise ParseError with a position; index
-lattice violations (e.g. ``Y[1/2]`` with epsilon = 0) raise DomainError.
+lattice violations (e.g. ``Y[1/2]`` with epsilon = 0) raise DomainError
+from ``algebra.validate_generator``, which states the lattices once.
 
 One line loop reads the three file formats (``GEN -> element``,
 ``(GEN, GEN) -> element``, ``mu[k] = rational``): it drops ``#`` comments
@@ -50,7 +51,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterator, Tuple
 
-from .algebra import AlgebraConfig, Element, GeneratorId, format_rational, gen
+from .algebra import AlgebraConfig, DomainError, Element, GeneratorId, format_rational, gen, validate_generator
 
 __all__ = [
     "ParseError",
@@ -84,11 +85,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.reason = message
         self.position = position
-
-
-class DomainError(ValueError):
-    """Syntactically fine but the index is off its family's lattice, or
-    the generator lies outside the window it is used on."""
 
 
 def _skip(text: str, pos: int) -> int:
@@ -148,10 +144,7 @@ def _generator(text: str, pos: int, cfg: AlgebraConfig, memo: _Memo) -> Tuple[Ge
     index, pos = _rational(text, _expect(text, pos + 1, "["), memo)
     pos = _expect(text, pos, "]")
     g = gen(fam, index)
-    if not cfg.valid_index(fam, index):
-        raise DomainError(
-            f"index {index} invalid for family {fam} at epsilon={cfg.epsilon}"
-        )
+    validate_generator(g, cfg)
     memo[key] = g
     return g, pos
 

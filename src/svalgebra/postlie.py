@@ -459,29 +459,19 @@ def verify_triviality_theorem(
     cases: List[SweepCase] = []
     for form in _sweep_forms(w):
         wit = triviality_witness(form, cfg)
+        detail = ""
         if form.is_trivial:
-            ok = wit is None
-            detail = "" if ok else "unexpected witness for the trivial product"
-            cases.append(SweepCase(form, wit, ok, detail))
-            continue
-        if wit is None:
-            cases.append(SweepCase(form, None, False, "missing witness"))
-            continue
-        d = axiom_defect(form, wit.axiom, wit.inputs, w, cfg)
-        if d is None:
-            cases.append(SweepCase(form, wit, False, "witness instance not evaluable"))
-        elif d != wit.residual:
-            cases.append(
-                SweepCase(
-                    form,
-                    wit,
-                    False,
-                    f"checker defect {format_element(d)} != witness residual"
-                    f" {format_element(wit.residual)}",
-                )
-            )
+            if wit is not None:
+                detail = "unexpected witness for the trivial product"
+        elif wit is None:
+            detail = "missing witness"
         else:
-            cases.append(SweepCase(form, wit, True))
+            d = axiom_defect(form, wit.axiom, wit.inputs, w, cfg)
+            if d is None:
+                detail = "witness instance not evaluable"
+            elif d != wit.residual:
+                detail = f"checker defect {format_element(d)} != witness residual {format_element(wit.residual)}"
+        cases.append(SweepCase(form, wit, not detail, detail))
     trivial_rep = postlie_axiom_defects(BiderivationForm(0, {}), w, cfg)
     brute_rep = solve_postlie_window(brute, cfg) if brute is not None else None
     return TrivialityReport(w, cfg.epsilon, cases, trivial_rep, brute_rep)

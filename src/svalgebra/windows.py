@@ -69,11 +69,8 @@ class Window:
     def interior_generators(self, cfg: AlgebraConfig) -> List[GeneratorId]:
         return [g for g in self.generators(cfg) if self.is_interior(g)]
 
-    def contains_index(self, i: Fraction) -> bool:
-        return abs(i) <= self.radius
-
     def contains(self, g: GeneratorId) -> bool:
-        return self.contains_index(g.index)
+        return abs(g.index) <= self.radius
 
     def contains_element(self, e: Element) -> bool:
         return all(self.contains(g) for g in e.terms)

@@ -20,7 +20,8 @@ from svalgebra import (
     jacobi_defect,
     validate_generator,
 )
-from svalgebra.algebra import format_rational
+from svalgebra import algebra, parsing, parse_generator
+from svalgebra.algebra import _bracket_pair, format_rational
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -78,6 +79,89 @@ class TestBracketTable:
         a = bracket_basis(L(2), L(3), CFG0)
         b = bracket_basis(L(2), L(3), CFG_HALF)
         assert a is b
+
+
+def _reference_bracket_pair(g1, g2):
+    """The bracket of two generators written out family by family, as it
+    stood before the table ``_STRUCTURE`` replaced it."""
+    f1, f2 = g1.family, g2.family
+    m, n = g1.index, g2.index
+    if f1 == "L":
+        if f2 == "L":
+            coeff = m - n
+            fam = "L"
+        elif f2 == "Y":
+            coeff = m / 2 - n
+            fam = "Y"
+        else:
+            coeff = -n
+            fam = "M"
+    elif f1 == "Y":
+        if f2 == "L":
+            coeff = -(n / 2 - m)
+            fam = "Y"
+        elif f2 == "Y":
+            coeff = m - n
+            fam = "M"
+        else:
+            return ZERO
+    else:  # f1 == "M"
+        if f2 == "L":
+            coeff = m
+            fam = "M"
+        else:
+            return ZERO
+    if not coeff:
+        return ZERO
+    return Element.monomial(gen(fam, m + n), coeff)
+
+
+STRUCTURE_INDICES = (
+    [Fraction(i) for i in range(-4, 5)]
+    + [Fraction(i, 2) for i in range(-5, 6, 2)]
+    + [Fraction(22, 7), Fraction(-5, 3), Fraction(10**41 + 7), Fraction(-(10**42) + 3, 7)]
+)
+
+
+class TestStructureTable:
+    @pytest.mark.parametrize("f1", "LYM")
+    @pytest.mark.parametrize("f2", "LYM")
+    def test_matches_the_family_by_family_bracket(self, f1, f2):
+        """Every family pair, on and off the lattices and at 40-plus
+        digits: the same value, the same coefficient type, and ZERO itself
+        where the bracket vanishes."""
+        for m in STRUCTURE_INDICES:
+            for n in STRUCTURE_INDICES:
+                g1, g2 = gen(f1, m), gen(f2, n)
+                got, want = _bracket_pair(g1, g2), _reference_bracket_pair(g1, g2)
+                assert got == want, (g1, g2)
+                assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+                assert (got is ZERO) == (want is ZERO)
+
+    def test_table_holds_the_four_listed_rows(self):
+        assert sorted(algebra._STRUCTURE) == [("L", "L"), ("L", "M"), ("L", "Y"), ("Y", "Y")]
+
+
+class TestDomainError:
+    def test_validate_generator_raises_it(self):
+        with pytest.raises(algebra.DomainError, match=r"^index 1/2 invalid for family Y at epsilon=0$"):
+            validate_generator(Y(Fraction(1, 2)), CFG0)
+        with pytest.raises(algebra.DomainError, match=r"^index 1 invalid for family Y at epsilon=1/2$"):
+            validate_generator(Y(1), CFG_HALF)
+
+    def test_parser_raises_the_same_class_and_message(self):
+        with pytest.raises(algebra.DomainError) as parsed:
+            parse_generator("Y[1/2]", CFG0)
+        with pytest.raises(algebra.DomainError) as validated:
+            validate_generator(Y(Fraction(1, 2)), CFG0)
+        assert type(parsed.value) is type(validated.value)
+        assert str(parsed.value) == str(validated.value)
+
+    def test_one_class(self):
+        import svalgebra
+
+        assert svalgebra.DomainError is parsing.DomainError is algebra.DomainError
+        assert issubclass(algebra.DomainError, ValueError)
 
 
 class TestGenerators:

@@ -223,6 +223,28 @@ def test_integer_flag_refuses_a_proper_fraction(capsys, argv):
     assert "not an integer" in err
 
 
+# --epsilon spellings the element grammar reads, with the value they name
+EPSILON_SPELLINGS = [("2/4", "1/2"), ("3/6", "1/2"), ("00", "0"), ("-0", "0")]
+
+
+@pytest.mark.parametrize("spelling, value", EPSILON_SPELLINGS, ids=[s for s, _ in EPSILON_SPELLINGS])
+def test_epsilon_reads_any_spelling_of_its_value(capsys, spelling, value):
+    y = "Y[1/2]" if value == "1/2" else "Y[1]"
+    for argv in (("bracket", "L[3]", y), ("bracket", "L[3]", y, "--json"), ("jacobi", "-N", "2", "--json")):
+        want = run(capsys, *argv, "--epsilon", value)
+        assert want[0] == 0
+        assert run(capsys, *argv, "--epsilon", spelling) == want
+        assert run(capsys, *argv, f"--epsilon={spelling}") == want
+
+
+@pytest.mark.parametrize("value", ["2", "1/3"])
+def test_epsilon_off_both_parities_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "jacobi", "--epsilon", value)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: svalg jacobi ")
+    assert err.endswith(f"svalg jacobi: error: argument --epsilon: epsilon must be 0 or 1/2, got {value}\n")
+
+
 BIG = 10**5000 + 1
 BIG_TEXT = "1" + "0" * 4999 + "1"
 

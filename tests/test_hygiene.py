@@ -4,8 +4,11 @@ function builds an exact elimination, the mod-p oracle shares only the
 forced-zero presolve with it, the post-Lie checker evaluates instances
 without the Element bracket, the parser has no character cursor and
 keeps no state between calls, solvers guard their radius only through
-``Window.require``, and the command line keeps one subcommand table and
-reads no argv text with Python's own number grammar.
+``Window.require``, the command line keeps one subcommand table and
+reads no argv text with Python's own number grammar, each algebra rule
+(the structure constants, the lattice check and its error, the sweep
+verdict) is written once, and no source line is longer than 114
+characters.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
@@ -376,3 +379,80 @@ def test_unused_families_tuple_is_gone():
     import svalgebra.algebra as algebra
 
     assert not hasattr(algebra, "FAMILIES")
+
+
+MATH_MODULES = ["windows", "linalg", "operators", "biderivations", "propositions", "postlie"]
+
+
+def defined_classes(name: str):
+    """The modules of the package that define a class ``name``."""
+    return [
+        module
+        for module in MODULES + ["__init__"]
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == name
+    ]
+
+
+def function(source: str, name: str) -> ast.FunctionDef:
+    (node,) = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def test_domain_error_is_defined_once():
+    assert defined_classes("DomainError") == ["algebra"]
+
+
+@pytest.mark.parametrize("module", MATH_MODULES)
+def test_math_modules_do_not_import_the_parser(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != "parsing", f"line {node.lineno}"
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[-1] == "parsing" for alias in node.names), f"line {node.lineno}"
+
+
+def test_parser_leaves_the_lattice_check_to_algebra():
+    """``parsing._generator`` calls ``validate_generator`` and raises no
+    DomainError of its own."""
+    node = function((PACKAGE / "parsing.py").read_text(), "_generator")
+    raised = [ast.unparse(n.exc) for n in ast.walk(node) if isinstance(n, ast.Raise) and n.exc is not None]
+    assert not [r for r in raised if "DomainError" in r]
+    assert "validate_generator" in {called for _, called in calls(ast.unparse(node))}
+
+
+def test_bracket_pair_reads_the_structure_table():
+    """``_bracket_pair`` compares no family letter: the family pairs live in
+    ``_STRUCTURE`` only."""
+    node = function((PACKAGE / "algebra.py").read_text(), "_bracket_pair")
+    letters = [
+        ast.unparse(n)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Compare)
+        and any(isinstance(o, ast.Constant) and o.value in ("L", "Y", "M") for o in [n.left] + n.comparators)
+    ]
+    assert letters == []
+    assert "_STRUCTURE" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_dead_helpers_are_gone():
+    from svalgebra.algebra import Element
+    from svalgebra.windows import Window
+
+    assert not {"support", "iter_terms"} & set(dir(Element))
+    assert not hasattr(Window, "contains_index")
+
+
+def test_sweep_builds_each_case_in_one_place():
+    assert callers((PACKAGE / "postlie.py").read_text(), "SweepCase") == ["verify_triviality_theorem"]
+
+
+MAX_LINE = 114
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_line_is_too_long(module):
+    lines = (PACKAGE / f"{module}.py").read_text().splitlines()
+    long = [number for number, line in enumerate(lines, start=1) if len(line) > MAX_LINE]
+    assert not long, f"{module}.py lines longer than {MAX_LINE} characters: {long}"

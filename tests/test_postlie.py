@@ -33,7 +33,9 @@ from svalgebra import (
     triviality_witness,
     verify_triviality_theorem,
 )
-from svalgebra.postlie import _product_values, _sweep_forms, _trim_step
+from svalgebra import postlie
+from svalgebra.algebra import format_element
+from svalgebra.postlie import TrivialityWitness, _product_values, _sweep_forms, _trim_step
 from svalgebra.windows import MAX_RECORDED, OUTSIDE, BracketTable
 
 CFG0 = AlgebraConfig(Fraction(0))
@@ -222,6 +224,57 @@ class TestSweep:
     def test_summary_counts_cases(self):
         rep = verify_triviality_theorem(Window(5), CFG0)
         assert "60" in rep.summary()
+
+
+class TestSweepVerdict:
+    """Each way a sweep case can fail, provoked by replacing the witness
+    or the replay the sweep calls, with its verdict and detail pinned."""
+
+    W = Window(5)
+
+    def sweep(self):
+        rep = verify_triviality_theorem(self.W, CFG0)
+        trivial = [c for c in rep.cases if c.form.is_trivial]
+        assert len(rep.cases) == 60 and len(trivial) == 1
+        return trivial[0], [c for c in rep.cases if not c.form.is_trivial]
+
+    def test_passing_cases(self):
+        trivial, others = self.sweep()
+        assert (trivial.witness, trivial.ok, trivial.detail) == (None, True, "")
+        assert all(c.witness is not None and (c.ok, c.detail) == (True, "") for c in others)
+
+    def test_unexpected_witness(self, monkeypatch):
+        stray = TrivialityWitness(AXIOM_COMMUTATIVITY, (gen("L", 1), gen("L", 2)), ZERO)
+        real = postlie.triviality_witness
+        monkeypatch.setattr(postlie, "triviality_witness", lambda form, cfg: real(form, cfg) or stray)
+        trivial, others = self.sweep()
+        assert trivial.witness is stray
+        assert (trivial.ok, trivial.detail) == (False, "unexpected witness for the trivial product")
+        assert all((c.ok, c.detail) == (True, "") for c in others)
+
+    def test_missing_witness(self, monkeypatch):
+        monkeypatch.setattr(postlie, "triviality_witness", lambda form, cfg: None)
+        trivial, others = self.sweep()
+        assert (trivial.ok, trivial.detail) == (True, "")
+        assert all((c.witness, c.ok, c.detail) == (None, False, "missing witness") for c in others)
+
+    def test_witness_not_evaluable(self, monkeypatch):
+        monkeypatch.setattr(postlie, "axiom_defect", lambda *args: None)
+        trivial, others = self.sweep()
+        assert (trivial.ok, trivial.detail) == (True, "")
+        assert all((c.ok, c.detail) == (False, "witness instance not evaluable") for c in others)
+
+    def test_checker_defect_differs(self, monkeypatch):
+        defect = Element({gen("M", 0): Fraction(-3, 2)})
+        monkeypatch.setattr(postlie, "axiom_defect", lambda *args: defect)
+        trivial, others = self.sweep()
+        assert (trivial.ok, trivial.detail) == (True, "")
+        for c in others:
+            want = f"checker defect -3/2*M[0] != witness residual {format_element(c.witness.residual)}"
+            assert (c.ok, c.detail) == (False, want)
+        lam_one = BiderivationForm(1, {})
+        (case,) = [c for c in others if c.form == lam_one]
+        assert case.detail == "checker defect -3/2*M[0] != witness residual -2*L[3]"
 
 
 class TestBridge:
