@@ -384,23 +384,19 @@ def test_unused_families_tuple_is_gone():
 MATH_MODULES = ["windows", "linalg", "operators", "biderivations", "propositions", "postlie"]
 
 
-def defined_classes(name: str):
-    """The modules of the package that define a class ``name``."""
-    return [
-        module
-        for module in MODULES + ["__init__"]
-        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
-        if isinstance(node, ast.ClassDef) and node.name == name
-    ]
-
-
 def function(source: str, name: str) -> ast.FunctionDef:
     (node,) = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == name]
     return node
 
 
 def test_domain_error_is_defined_once():
-    assert defined_classes("DomainError") == ["algebra"]
+    defined = [
+        module
+        for module in MODULES + ["__init__"]
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "DomainError"
+    ]
+    assert defined == ["algebra"]
 
 
 @pytest.mark.parametrize("module", MATH_MODULES)
