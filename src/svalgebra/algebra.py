@@ -15,9 +15,10 @@ with brackets
     [Y_m, Y_n] = (m - n) M_{m+n}
     [Y_m, M_n] = [M_m, M_n] = 0
 
-``_STRUCTURE`` holds the first four rows; a swapped pair is the negative of
-its row.  ``validate_generator`` is the one check of the index lattices,
-and raises ``DomainError``.
+``structure`` reads the first four rows as integer polynomials of the
+doubled indices, a swapped pair as the negative of its row.
+``validate_generator`` is the one check of the index lattices, and raises
+``DomainError``.
 
 All coefficients are ``fractions.Fraction``; nothing here is ever
 approximate.  M_0 is central.  A scalar is an int or a Fraction, and
@@ -267,28 +268,32 @@ def bracket_basis(g1: GeneratorId, g2: GeneratorId, cfg: AlgebraConfig) -> Eleme
 _BRACKET_CACHE: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
 
 
-# (family, family) -> (family of the value, its coefficient at indices m, n)
-_STRUCTURE: Dict[Tuple[str, str], Tuple[str, Callable[[Fraction, Fraction], Fraction]]] = {
-    ("L", "L"): ("L", lambda m, n: m - n),
-    ("L", "Y"): ("Y", lambda m, n: m / 2 - n),
-    ("L", "M"): ("M", lambda m, n: -n),
-    ("Y", "Y"): ("M", lambda m, n: m - n),
+# (family, family) -> (family of the value, four times its coefficient at doubled indices d1, d2)
+_STRUCTURE: Dict[Tuple[str, str], Tuple[str, Callable[[Scalar, Scalar], Scalar]]] = {
+    ("L", "L"): ("L", lambda d1, d2: 2 * (d1 - d2)),
+    ("L", "Y"): ("Y", lambda d1, d2: d1 - 2 * d2),
+    ("L", "M"): ("M", lambda d1, d2: -2 * d2),
+    ("Y", "Y"): ("M", lambda d1, d2: 2 * (d1 - d2)),
 }
 
 
-def _bracket_pair(g1: GeneratorId, g2: GeneratorId) -> Element:
-    m, n = g1.index, g2.index
-    entry = _STRUCTURE.get((g1.family, g2.family))
+def structure(f1: str, d1: Scalar, f2: str, d2: Scalar) -> Optional[Tuple[str, Scalar]]:
+    """The bracket of families f1, f2 at doubled indices d1, d2: None when it
+    vanishes, else (family, 4c) for c times that family's generator at d1 + d2."""
+    entry = _STRUCTURE.get((f1, f2))
     if entry is not None:
-        fam, coeff = entry[0], entry[1](m, n)
+        four_c = entry[1](d1, d2)
     else:  # antisymmetry: [g1, g2] = -[g2, g1]
-        entry = _STRUCTURE.get((g2.family, g1.family))
+        entry = _STRUCTURE.get((f2, f1))
         if entry is None:
-            return ZERO
-        fam, coeff = entry[0], -entry[1](n, m)
-    if not coeff:
-        return ZERO
-    return Element.monomial(gen(fam, m + n), coeff)
+            return None
+        four_c = -entry[1](d2, d1)
+    return (entry[0], four_c) if four_c else None
+
+
+def _bracket_pair(g1: GeneratorId, g2: GeneratorId) -> Element:
+    value = structure(g1.family, 2 * g1.index, g2.family, 2 * g2.index)
+    return ZERO if value is None else Element.monomial(gen(value[0], g1.index + g2.index), value[1] / 4)
 
 
 def bracket(x: Element, y: Element, cfg: AlgebraConfig) -> Element:

@@ -5,13 +5,15 @@ accepts the shared flags --epsilon {0,1/2}, -N/--window, --json and --seed
 after the subcommand name.  Numbers in flags are read with the rational
 grammar of elements (``parsing.parse_rational``): an integer flag is a
 rational equal to an integer, and --epsilon takes any spelling of 0 or 1/2
-(``-0``, ``2/4``), which ``AlgebraConfig`` checks.  ``build_parser`` is the
-subcommand table: each subcommand carries its handler and, where it has
-one, the smallest window radius it can use, which ``main`` checks before
-the handler runs.  In JSON mode each run prints a single object whose keys
-come in a fixed order for a given subcommand: command, epsilon, window,
-seed, verdict, then the subcommand's own fields.  All rationals are
-serialized as strings, elements as expressions the parser accepts back.
+(``-0``, ``2/4``), which ``AlgebraConfig`` checks.  A negative value may be
+its own word (``--lambda -3/7``): ``main`` joins it to its flag before
+parsing.  ``build_parser`` is the subcommand table: each subcommand carries
+its handler and, where it has one, the smallest window radius it can use,
+which ``main`` checks before the handler runs.  In JSON mode each run
+prints a single object whose keys come in a fixed order for a given
+subcommand: command, epsilon, window, seed, verdict, then the subcommand's
+own fields.  All rationals are serialized as strings, elements as
+expressions the parser accepts back.
 
 Exit status: 0 means verified or trivial, 1 means a defect, witness or
 mismatch was found, 2 means the invocation itself was unusable (bad flags,
@@ -335,8 +337,16 @@ def _cmd_postlie(ns: argparse.Namespace, cfg: AlgebraConfig, w: Window) -> Outco
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    # argparse takes a word such as -3/7 for a flag: join it, before any '--', as FLAG=WORD to a bare flag
+    words: List[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        flag = words[-1] if words and "--" not in words and "=" not in words[-1] else ""
+        if word[:1] == flag[:1] == "-" and word[1:2].isdecimal() and not flag[1:2].isdecimal():
+            words[-1] += "=" + word
+        else:
+            words.append(word)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(words)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 on --help; keep its code
         code = exc.code

@@ -24,9 +24,9 @@ that coordinate exists inside the window.  Concretely the inner bracket
 every re-bracketed image coordinate.  Window restrictions of genuine
 derivations then satisfy every emitted row exactly, with no tolerance.
 Rows are computed from the window's integer-position bracket table
-(``windows.BracketTable``), which lists the closed pairs once: every term
-is a table lookup plus integer column arithmetic, with no generator or
-index arithmetic per row.
+(``windows.BracketTable``, read from ``algebra.structure`` on doubled
+indices), which lists the closed pairs once: every term is a table lookup
+plus integer column arithmetic, with no generator arithmetic per row.
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
-"""Finite index windows, the column layout of window maps, their bracket
-tables on integer positions, the Leibniz rule the derivation and
-biderivation checkers share, and defect reports.
+"""Finite index windows, the column layout of window maps, bracket tables
+on integer positions read from ``algebra.structure``, the Leibniz rule the
+derivation and biderivation checkers share, and defect reports.
 
 All solvers and checkers work on the finite slice of the algebra spanned by
 generators whose index has absolute value at most a radius N.  The interior
@@ -20,7 +20,9 @@ from itertools import product
 from math import lcm
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .algebra import AlgebraConfig, Element, GeneratorId, bracket_basis, format_rational, gen, jacobi_defect
+from .algebra import (
+    AlgebraConfig, Element, GeneratorId, bracket_basis, format_rational, gen, jacobi_defect, structure,
+)
 from .linalg import SparseVec
 
 MAX_RECORDED = 100
@@ -145,14 +147,13 @@ OUTSIDE = -1
 class BracketTable:
     """The window's structure constants on integer positions.
 
-    Positions index ``Window.generators`` in canonical order.  The bracket
-    of two generators is zero or one generator times a coefficient, so
-    ``product[a * n + b]`` is None or (target position, coefficient), the
-    target being OUTSIDE when the result leaves the window.  The inverse
-    lists, keyed by ``partner * n + target`` and in ascending position
-    order, hold every in-window (p, c): ``left`` with [partner, p] =
-    c*target, ``right`` with [p, partner] = c*target.  Because the algebra
-    is graded, these lookups replace all index arithmetic on generators.
+    Positions index ``Window.generators`` in canonical order; ``structure``
+    reads each bracket on their doubled indices ``twice_index``.  The
+    inverse lists, keyed by ``partner * n + target`` and in ascending
+    position order, hold every in-window (p, c): ``left`` with [partner, p]
+    = c*target, ``right`` with [p, partner] = c*target.  Because the
+    algebra is graded, these lookups replace all index arithmetic on
+    generators.
 
     ``pairs`` lists the closed pairs a < b, whose bracket vanishes or stays
     in the window, ascending, as (a, b, target position, coefficient), with
@@ -161,27 +162,25 @@ class BracketTable:
 
     def __init__(self, w: Window, cfg: AlgebraConfig):
         gens = w.generators(cfg)
-        pos = {g: i for i, g in enumerate(gens)}
-        n = len(gens)
-        self.n = n
+        n = self.n = len(gens)
         self.radius = w.radius
-        self.twice_index = [int(2 * g.index) for g in gens]
-        self.product: List[Optional[Tuple[int, Fraction]]] = []
+        d = self.twice_index = [int(2 * g.index) for g in gens]
+        pos = {(g.family, d[i]): i for i, g in enumerate(gens)}
         self.left: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
         self.right: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
         self.pairs: List[Tuple[int, int, int, Fraction]] = []
         for a, ga in enumerate(gens):
             for b, gb in enumerate(gens):
-                entry = None
-                for g, c in bracket_basis(ga, gb, cfg).terms.items():
-                    t = pos.get(g, OUTSIDE)
-                    entry = (t, c)
+                value = structure(ga.family, d[a], gb.family, d[b])
+                if value is None:
+                    t, c = 0, Fraction(0)
+                else:
+                    t, c = pos.get((value[0], d[a] + d[b]), OUTSIDE), Fraction(value[1], 4)
                     if t != OUTSIDE:
                         self.left[a * n + t].append((b, c))
                         self.right[b * n + t].append((a, c))
-                self.product.append(entry)
-                if a < b and (entry is None or entry[0] != OUTSIDE):
-                    self.pairs.append((a, b) + (entry or (0, Fraction(0))))
+                if a < b and t != OUTSIDE:
+                    self.pairs.append((a, b, t, c))
 
     def anchored_targets(self, a: int, b: int) -> List[int]:
         """Positions whose index lies within N of the indices at a and b."""
@@ -189,12 +188,6 @@ class BracketTable:
         lo = max(d[a], d[b]) - 2 * self.radius
         hi = min(d[a], d[b]) + 2 * self.radius
         return [h for h in range(self.n) if lo <= d[h] <= hi]
-
-
-def _twice(x: Fraction) -> Optional[int]:
-    """2*x as an int, or None when x is not a half-integer."""
-    q, r = divmod(2 * x.numerator, x.denominator)
-    return None if r else q
 
 
 class LeibnizCheck:
@@ -226,16 +219,17 @@ class LeibnizCheck:
         reach = 2 * w.radius
         order: List[GeneratorId] = []
         pos: Dict[GeneratorId, int] = {}
+        at: Dict[Tuple[str, int], int] = {}  # (family, doubled index) -> position
         twice: List[int] = []
 
         def position(g: GeneratorId) -> int:
             p = pos.get(g)
             if p is None:
-                d = _twice(g.index)
-                if d is None:
+                d, odd = divmod(2 * g.index.numerator, g.index.denominator)
+                if odd:
                     raise ValueError(f"generator {g}: index {format_rational(g.index)} is not a half-integer")
                 twice.append(d)
-                p = pos[g] = len(order)
+                p = pos[g] = at[g.family, d] = len(order)
                 order.append(g)
             return p
 
@@ -248,15 +242,16 @@ class LeibnizCheck:
         ]
 
         def doubled_bracket(x: int, y: int) -> Optional[Tuple[int, int]]:
-            terms = bracket_basis(order[x], order[y], cfg).terms
-            if not terms:
+            value = structure(order[x].family, twice[x], order[y].family, twice[y])
+            if value is None:
                 return None
-            ((t, c),) = terms.items()
-            dc = _twice(c)
-            if dc is None:
-                q = format_rational(c)
+            dc, odd = divmod(value[1], 2)
+            if odd:
+                q = format_rational(Fraction(value[1], 4))
                 raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {q} is not a half-integer")
-            return (OUTSIDE if abs(twice[x] + twice[y]) > reach else position(t)), dc
+            d = twice[x] + twice[y]
+            t = OUTSIDE if abs(d) > reach else at.get((value[0], d))
+            return (position(gen(value[0], Fraction(d, 2))) if t is None else t), dc
 
         # table[g * m + h] = [g, h] for window g and every value position h:
         # None when zero, else (target position, or OUTSIDE when it leaves

@@ -1,4 +1,5 @@
-"""Shared fixtures and the seeded expression corpus.
+"""Shared fixtures, the seeded expression corpus and the reference
+brackets of a window's positions.
 
 The expensive window classifications are session-scoped so the unit tests
 and the acceptance tests reuse one computation.
@@ -15,10 +16,12 @@ from svalgebra import (
     AlgebraConfig,
     Element,
     Window,
+    bracket_basis,
     classify_biderivations,
     classify_derivations,
     gen,
 )
+from svalgebra.windows import OUTSIDE
 
 
 def random_corpus_element(rng: random.Random, cfg: AlgebraConfig) -> Element:
@@ -33,6 +36,24 @@ def random_corpus_element(rng: random.Random, cfg: AlgebraConfig) -> Element:
         g = gen(fam, idx)
         terms[g] = terms.get(g, Fraction(0)) + coeff
     return Element(terms)
+
+
+def window_brackets(w: Window, cfg: AlgebraConfig) -> list:
+    """[g_a, g_b] by ``bracket_basis`` for the window positions a, b, at
+    a * n + b: None when it vanishes, else (target position, or OUTSIDE when
+    the value leaves the window, coefficient)."""
+    gens = w.generators(cfg)
+    pos = {g: i for i, g in enumerate(gens)}
+    out = []
+    for ga in gens:
+        for gb in gens:
+            terms = bracket_basis(ga, gb, cfg).terms
+            if not terms:
+                out.append(None)
+                continue
+            ((g, c),) = terms.items()
+            out.append((pos.get(g, OUTSIDE), c))
+    return out
 
 
 @contextlib.contextmanager

@@ -21,7 +21,7 @@ from svalgebra import (
     validate_generator,
 )
 from svalgebra import algebra, parsing, parse_generator
-from svalgebra.algebra import _bracket_pair, format_rational
+from svalgebra.algebra import _bracket_pair, format_rational, structure
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -137,6 +137,26 @@ class TestStructureTable:
                 assert got == want, (g1, g2)
                 assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
                 assert (got is ZERO) == (want is ZERO)
+
+    @pytest.mark.parametrize("f1", "LYM")
+    @pytest.mark.parametrize("f2", "LYM")
+    def test_structure_gives_four_times_the_coefficient_on_doubled_indices(self, f1, f2):
+        """At integer doubled indices d1, d2, on and off the lattices and at
+        40-plus digits, ``structure`` is the family-by-family bracket at
+        indices d1/2, d2/2: None where it vanishes, else the value's family
+        and the int 4c, the value sitting at doubled index d1 + d2."""
+        doubled = list(range(-9, 10)) + [2 * 10**41 + 14, -(10**42) + 3]
+        for d1 in doubled:
+            for d2 in doubled:
+                got = structure(f1, d1, f2, d2)
+                want = _reference_bracket_pair(gen(f1, Fraction(d1, 2)), gen(f2, Fraction(d2, 2)))
+                if want is ZERO:
+                    assert got is None, (f1, d1, f2, d2)
+                    continue
+                ((g, c),) = want.terms.items()
+                assert got == (g.family, 4 * c), (f1, d1, f2, d2)
+                assert type(got[1]) is int
+                assert 2 * g.index == d1 + d2
 
     def test_table_holds_the_four_listed_rows(self):
         assert sorted(algebra._STRUCTURE) == [("L", "L"), ("L", "M"), ("L", "Y"), ("Y", "Y")]

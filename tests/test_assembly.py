@@ -9,7 +9,7 @@ added row by row in sorted group order, then the kernel combinations.
 Every current builder must return exactly their rows, row order, key
 order and labels.  The closed window pairs are coded twice, in
 `BracketTable.pairs` and, doubled, in `LeibnizCheck.pairs`; the two lists
-must agree.
+must agree, and with the brackets of `bracket_basis`.
 """
 
 from fractions import Fraction
@@ -22,6 +22,8 @@ from svalgebra import AlgebraConfig, SparseMatrix, Window, kernel_basis
 from svalgebra.linalg import vanishing_combinations, vec_add_scaled, vec_bump
 from svalgebra.propositions import GridCoords, prop1_solve, prop2_solve, prop3_solve, prop4_solve
 from svalgebra.windows import BracketTable, LeibnizCheck
+
+from conftest import window_brackets
 
 PARITIES = (Fraction(0), Fraction(1, 2))
 
@@ -237,12 +239,13 @@ def test_checker_pairs_are_the_table_pairs(radius, eps):
     chk = LeibnizCheck(w, cfg, [{} for _ in range(table.n)])
     assert chk.pairs == [(a, b, t, int(2 * c)) for a, b, t, c in table.pairs]
     n = table.n
+    products = window_brackets(w, cfg)
     for a, b, t, c in table.pairs:
-        assert a < b and table.product[a * n + b] == ((t, c) if c else None)
+        assert a < b and products[a * n + b] == ((t, c) if c else None)
     closed = {(a, b) for a, b, _, _ in table.pairs}
     outside = [
         (a, b) for a in range(n) for b in range(a + 1, n)
-        if table.product[a * n + b] is not None and (a, b) not in closed
+        if products[a * n + b] is not None and (a, b) not in closed
     ]
     assert len(closed) + len(outside) == n * (n - 1) // 2
     assert all(abs(table.twice_index[a] + table.twice_index[b]) > 2 * radius for a, b in outside)

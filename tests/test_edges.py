@@ -245,6 +245,68 @@ def test_epsilon_off_both_parities_is_a_usage_error(capsys, value):
     assert err.endswith(f"svalg jacobi: error: argument --epsilon: epsilon must be 0 or 1/2, got {value}\n")
 
 
+# (argv before the flag, flag, a value that starts with '-' and a digit)
+NEGATIVE_WORDS = [
+    (("postlie", "-N", "5"), "--lambda", "-3/7"),
+    (("postlie", "-N", "5"), "--lam", "-3/7"),
+    (("postlie", "-N", "5", "--json"), "--lambda", "-6/14"),
+    (("postlie", "-N", "6"), "--mu", "-2=5/3"),
+    (("postlie", "-N", "6", "--mu", "1=1"), "--mu", "-2=-5/3"),
+    (("postlie", "-N", "5", "--json"), "--seed", "-14/2"),
+    (("jacobi", "-N", "2", "--json"), "--epsilon", "-0/3"),
+    (("jacobi", "--json"), "-N", "-4/2"),
+    (("jacobi", "--json"), "--window", "-1"),
+    (("jacobi",), "--epsilon", "-1/2"),
+    (("postlie", "-N", "5"), "--lambda", "-1.5"),
+]
+
+
+@pytest.mark.parametrize("head, flag, value", NEGATIVE_WORDS, ids=[f"{f} {v}" for _, f, v in NEGATIVE_WORDS])
+def test_negative_value_as_its_own_word_reads_as_the_equals_form(capsys, head, flag, value):
+    assert run(capsys, *head, flag, value) == run(capsys, *head, f"{flag}={value}")
+
+
+def test_negative_fraction_flags_run_as_their_own_word(capsys):
+    assert run(capsys, "postlie", "-N", "5", "--lambda", "-3/7") == (1, PINNED[0][2], "")
+    assert run(capsys, "postlie", "-N", "6", "--mu", "-2=5/3") == (1, PINNED[2][2], "")
+
+
+def test_negative_epsilon_as_its_own_word_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "jacobi", "--epsilon", "-1/2")
+    assert (code, out) == (2, "")
+    assert err.endswith("svalg jacobi: error: argument --epsilon: epsilon must be 0 or 1/2, got -1/2\n")
+
+
+def test_words_after_a_double_dash_are_left_alone(capsys):
+    assert run(capsys, "bracket", "--", "-3*L[1]", "L[2]") == (0, "3*L[3]\n", "")
+    code, out, _ = run(capsys, "bracket", "--json", "--", "-3*L[1]", "L[2]")
+    assert code == 0 and '"result": "3*L[3]"' in out
+
+
+# forms that were usage errors before negative words were joined to their flag
+STILL_REFUSED = [
+    ("bracket", "-3*L[1]", "L[2]"),
+    ("bracket", "--json", "-3*L[1]", "L[2]"),
+    ("bracket", "L[1]", "--json", "-3*L[2]"),
+    ("bracket", "L[1]", "L[2]", "--json", "-3"),
+    ("postlie", "-N", "5", "--lambda", "-1.5"),
+    ("postlie", "-N", "5", "--lambda", "-3/7x"),
+    ("postlie", "-N", "5", "--lambda=1", "-3/7"),
+    ("postlie", "-N", "5", "--mu", "-2"),
+    ("postlie", "-N", "-5"),
+    ("jacobi", "-N", "2", "--seed", "-1/2"),
+    ("jacobi", "--epsilon", "-1/2"),
+    ("jacobi", "-N", "2", "--", "-3"),
+]
+
+
+@pytest.mark.parametrize("argv", STILL_REFUSED, ids=[" ".join(a) for a in STILL_REFUSED])
+def test_invocations_refused_before_stay_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err
+
+
 BIG = 10**5000 + 1
 BIG_TEXT = "1" + "0" * 4999 + "1"
 

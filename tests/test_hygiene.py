@@ -419,8 +419,8 @@ def test_parser_leaves_the_lattice_check_to_algebra():
 
 
 def test_bracket_pair_reads_the_structure_table():
-    """``_bracket_pair`` compares no family letter: the family pairs live in
-    ``_STRUCTURE`` only."""
+    """``_bracket_pair`` compares no family letter: it calls ``structure``,
+    and the family pairs live in ``_STRUCTURE`` only."""
     node = function((PACKAGE / "algebra.py").read_text(), "_bracket_pair")
     letters = [
         ast.unparse(n)
@@ -429,7 +429,39 @@ def test_bracket_pair_reads_the_structure_table():
         and any(isinstance(o, ast.Constant) and o.value in ("L", "Y", "M") for o in [n.left] + n.comparators)
     ]
     assert letters == []
-    assert "_STRUCTURE" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    assert "structure" in {called for _, called in calls(ast.unparse(node))}
+
+
+def test_only_structure_reads_the_structure_table():
+    """``_STRUCTURE`` is bound at the top of ``algebra`` and read inside
+    ``structure`` only, nowhere else in the package."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and any(
+                isinstance(n, ast.Name) and n.id == "_STRUCTURE" for n in ast.walk(fn)
+            ):
+                readers.append(f"{path.stem}.{getattr(fn, 'name', '<lambda>')}")
+        top = [n for n in tree.body if "_STRUCTURE" in {x.id for x in ast.walk(n) if isinstance(x, ast.Name)}]
+        assert all(isinstance(n, (ast.FunctionDef, ast.AnnAssign)) for n in top), path.name
+    assert readers == ["algebra.structure"]
+
+
+def test_window_tables_read_the_structure_function():
+    """Both integer-position tables read ``structure`` and never build an
+    Element bracket; in ``windows`` only the Lie axiom check, which tests
+    ``bracket_basis`` itself, calls it.  ``BracketTable`` keeps no
+    ``product`` list that no solver reads."""
+    from svalgebra.windows import BracketTable, Window
+    from svalgebra.algebra import AlgebraConfig
+
+    source = (PACKAGE / "windows.py").read_text()
+    for table in ("BracketTable.__init__", "LeibnizCheck.__init__"):
+        called = {name for where, name in calls(source) if where == table or where.startswith(table + ".")}
+        assert "structure" in called and "bracket_basis" not in called, table
+    assert callers(source, "bracket_basis") == ["lie_axiom_defects", "lie_axiom_defects"]
+    assert not hasattr(BracketTable(Window(2), AlgebraConfig()), "product")
 
 
 def test_dead_helpers_are_gone():

@@ -38,6 +38,8 @@ from svalgebra.algebra import format_element
 from svalgebra.postlie import TrivialityWitness, _product_values, _sweep_forms, _trim_step
 from svalgebra.windows import MAX_RECORDED, OUTSIDE, BracketTable
 
+from conftest import window_brackets
+
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
 
@@ -334,11 +336,11 @@ class TestBruteSolve:
 # one instance per ((x, y), z, k), each tested against every window g.
 
 
-def _reference_trim_step(table, n, supp, forced):
+def _reference_trim_step(products, n, supp, forced):
     instances = []
     for x in range(n):
         for y in range(x + 1, n):
-            br = table.product[x * n + y]
+            br = products[x * n + y]
             if br is None or br[0] == OUTSIDE:
                 continue
             b = br[0]
@@ -369,12 +371,14 @@ def _reference_trim_step(table, n, supp, forced):
 
 @functools.cache
 def _trim_window(radius, eps):
-    """The bracket table of one window and its ``closed`` list: the (x, y, b)
-    with x < y and [x, y] a nonzero multiple of the window generator b."""
-    table = BracketTable(Window(radius), AlgebraConfig(eps))
+    """The bracket table of one window, its brackets from ``bracket_basis``
+    (``window_brackets``) and its ``closed`` list: the (x, y, b) with x < y
+    and [x, y] a nonzero multiple of the window generator b."""
+    w, cfg = Window(radius), AlgebraConfig(eps)
+    table, products = BracketTable(w, cfg), window_brackets(w, cfg)
     n = table.n
-    products = [(x, y, table.product[x * n + y]) for x in range(n) for y in range(x + 1, n)]
-    return table, [(x, y, br[0]) for x, y, br in products if br is not None and br[0] != OUTSIDE]
+    pairs = [(x, y, products[x * n + y]) for x in range(n) for y in range(x + 1, n)]
+    return table, products, [(x, y, br[0]) for x, y, br in pairs if br is not None and br[0] != OUTSIDE]
 
 
 @st.composite
@@ -386,7 +390,7 @@ def trim_cases(draw):
     to nine tenths of the columns, where most rows are blocked."""
     radius = draw(st.sampled_from([2, 3]))
     eps = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
-    table, closed = _trim_window(radius, eps)
+    table, products, closed = _trim_window(radius, eps)
     cols = table.n ** 3
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0005, 0.003, 0.02, 0.1, 0.5, 0.9]))
@@ -397,15 +401,15 @@ def trim_cases(draw):
     basis = [{} for _ in range(parts)]
     for c in supp:
         basis[rng.randrange(parts)][c] = Fraction(rng.choice([-2, -1, 1, 3]))
-    return table, closed, supp, forced, basis
+    return table, products, closed, supp, forced, basis
 
 
 @given(trim_cases())
 @settings(max_examples=40, deadline=None)
 def test_trim_step_matches_the_instance_loop(case):
-    table, closed, supp, forced, basis = case
+    table, products, closed, supp, forced, basis = case
     n = table.n
-    quadratic_instances, want = _reference_trim_step(table, n, supp, forced)
+    quadratic_instances, want = _reference_trim_step(products, n, supp, forced)
     got = _trim_step(closed, n, basis)
     assert got == want
     assert quadratic_instances == len(closed) * n * n

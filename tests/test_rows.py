@@ -15,7 +15,7 @@ import pytest
 from svalgebra import AlgebraConfig, Window, bracket_basis, gen
 from svalgebra.biderivations import PairCoords, identity1_rows, identity2_rows
 from svalgebra.operators import OperatorCoords, derivation_constraint_matrix
-from svalgebra.windows import OUTSIDE, BracketTable
+from svalgebra.windows import BracketTable
 
 PARITIES = (Fraction(0), Fraction(1, 2))
 
@@ -169,22 +169,31 @@ def test_identity1_rows_are_transposed_identity2_rows(eps):
 
 @pytest.mark.parametrize("eps", PARITIES)
 def test_bracket_table_matches_brackets(eps):
-    w, cfg = Window(3), AlgebraConfig(eps)
-    gens = w.generators(cfg)
-    t = BracketTable(w, cfg)
-    n = t.n
-    for a, ga in enumerate(gens):
-        for b, gb in enumerate(gens):
-            br = bracket_basis(ga, gb, cfg)
-            entry = t.product[a * n + b]
-            if not br.terms:
-                assert entry is None
-                continue
-            ((g, c),) = br.terms.items()
-            assert entry == ((gens.index(g) if w.contains(g) else OUTSIDE), c)
-            if entry[0] != OUTSIDE:
-                assert (b, c) in t.left[a * n + entry[0]]
-                assert (a, c) in t.right[b * n + entry[0]]
-    listed = sum(len(lst) for lst in t.left)
-    assert listed == sum(len(lst) for lst in t.right)
-    assert listed == sum(1 for e in t.product if e is not None and e[0] != OUTSIDE)
+    """``left``, ``right`` and ``pairs`` at radii 1 to 6 hold the brackets
+    ``bracket_basis`` gives on window positions, in ascending order."""
+    cfg = AlgebraConfig(eps)
+    for radius in range(1, 7):
+        w = Window(radius)
+        gens = w.generators(cfg)
+        t = BracketTable(w, cfg)
+        n = t.n
+        left, right, pairs = [[] for _ in range(n * n)], [[] for _ in range(n * n)], []
+        for a, ga in enumerate(gens):
+            for b, gb in enumerate(gens):
+                br = bracket_basis(ga, gb, cfg)
+                if not br.terms:
+                    if a < b:
+                        pairs.append((a, b, 0, Fraction(0)))
+                    continue
+                ((g, c),) = br.terms.items()
+                if w.contains(g):
+                    target = gens.index(g)
+                    assert (b, c) in t.left[a * n + target]
+                    assert (a, c) in t.right[b * n + target]
+                    left[a * n + target].append((b, c))
+                    right[b * n + target].append((a, c))
+                    if a < b:
+                        pairs.append((a, b, target, c))
+        assert (t.left, t.right, t.pairs) == (left, right, pairs)
+        assert all(type(c) is Fraction for _, _, _, c in t.pairs)
+        assert sum(len(lst) for lst in t.left) == sum(len(lst) for lst in t.right)
