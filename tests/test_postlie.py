@@ -333,7 +333,8 @@ class TestBruteSolve:
 # -- the trim rule of the brute enclosure, against the instance loop ---------
 # A verbatim copy of the instance list and trim loop that ran in
 # ``solve_postlie_window`` before the rule moved into ``postlie._trim_step``:
-# one instance per ((x, y), z, k), each tested against every window g.
+# one instance per ((x, y), z, k), each tested against every window g.  It
+# reads the window's brackets from ``bracket_basis`` (``window_brackets``).
 
 
 def _reference_trim_step(products, n, supp, forced):
