@@ -291,9 +291,23 @@ def structure(f1: str, d1: Scalar, f2: str, d2: Scalar) -> Optional[Tuple[str, S
     return (entry[0], four_c) if four_c else None
 
 
+def _doubled(index: Fraction) -> Scalar:
+    """2 * index, an int on both index lattices: the structure rows then
+    cost int operations only."""
+    den = index.denominator
+    if den == 1:
+        return 2 * index.numerator
+    if den == 2:
+        return index.numerator
+    return 2 * index
+
+
 def _bracket_pair(g1: GeneratorId, g2: GeneratorId) -> Element:
-    value = structure(g1.family, 2 * g1.index, g2.family, 2 * g2.index)
-    return ZERO if value is None else Element.monomial(gen(value[0], g1.index + g2.index), value[1] / 4)
+    d1, d2 = _doubled(g1.index), _doubled(g2.index)
+    value = structure(g1.family, d1, g2.family, d2)
+    if value is None:
+        return ZERO
+    return Element.monomial(gen(value[0], Fraction(d1 + d2, 2)), Fraction(value[1], 4))
 
 
 def bracket(x: Element, y: Element, cfg: AlgebraConfig) -> Element:

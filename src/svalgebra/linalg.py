@@ -19,11 +19,23 @@ over a column -> rows index follows these cascades in time linear in the
 nonzeros (the first step of sparse presolve: E. D. Andersen and K. D.
 Andersen, *Presolving in linear programming*, Math. Programming 71, 1995).
 The pass reads only the supports, and each caller checks the forcing
-entries it pivots on.  Every exact solve
-(kernel, rank, span, particular solution) goes through `_eliminate`, where
-only rows with two or more live columns reach the elimination.  Each
-result is read off a unique canonical form, so it is exactly that of
-eliminating every row.
+entries it pivots on.  Every exact solve (kernel, rank, span, particular
+solution) settles them once, in `_presolve`, and only rows with two or
+more live columns reach an elimination.  Each result is read off a unique
+canonical form, so it is exactly that of eliminating every row.
+
+`kernel_basis` first tries the same elimination mod the prime
+P = 2^61 - 1 on the live rows scaled to integers (`_RrefModP`), rebuilds
+each kernel entry by rational reconstruction, and proves the result
+exactly: every vector annihilates every live integer row, read through a
+column -> (row, entry) index, and there are as many independent vectors
+as the kernel dimension mod P, which is at least the rational one, so
+they span the rational kernel (the certificate of R. M. McConnell,
+K. Mehlhorn, S. Näher and P. Schweitzer, *Certifying algorithms*,
+Computer Science Review 5, 2011).  If reconstruction or the proof fails,
+it eliminates exactly instead, so no result depends on P.  `span_basis`,
+`rank` and `solve_linear` stay exact: annihilation proves a kernel, not a
+row space.
 
 `vanishing_combinations` is the one cut of a span by conditions on its
 coordinates (skewsymmetric biderivations, the trimmed post-Lie enclosure).
@@ -38,16 +50,17 @@ clip.
 The independent cross-check for kernel dimensions, `kernel_dimension_modp`,
 is a sparse integer elimination that decides the rank over three primes in
 one pass modulo their product.  It shares only the support-level forced
-pass with the exact elimination: its arithmetic, its forcing check and its
-elimination are its own.  The package needs nothing beyond the standard
+pass with the exact elimination and the kernel's modular pass: its
+arithmetic, its forcing check and its elimination are its own.  The package needs nothing beyond the standard
 library.
 """
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Any, Callable, Container, DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 SparseVec = Dict[int, Fraction]
@@ -173,6 +186,59 @@ class _Rref:
         return c
 
 
+# modulus of the kernel's modular elimination, the Mersenne prime 2^61 - 1,
+# and Wang's bound on the numerators and denominators read back from it
+_P = (1 << 61) - 1
+_HALF_ROOT = isqrt(_P // 2)
+
+
+class _RrefModP:
+    """`_Rref` on integer residues mod _P: the same inserts with the same
+    column index, so the same pivots, entries and iteration order as over
+    the rationals unless _P divides an entry met on the way."""
+
+    def __init__(self) -> None:
+        self.pivots: Dict[int, Dict[int, int]] = {}
+        self._users: Dict[int, set] = {}
+
+    def insert(self, row: Dict[int, int]) -> None:
+        pivots = self.pivots
+        work = dict(row)
+        for c, x in row.items():
+            prow = pivots.get(c)
+            if prow is not None:
+                for k, y in prow.items():
+                    nv = (work.get(k, 0) - x * y) % _P
+                    if nv:
+                        work[k] = nv
+                    else:
+                        work.pop(k, None)
+        if not work:
+            return
+        c = min(work)
+        inv = pow(work[c], -1, _P)
+        if inv != 1:
+            work = {k: inv * v % _P for k, v in work.items()}
+        users = self._users
+        for lead in users.pop(c, ()):
+            old = pivots[lead]
+            f = old[c]
+            for k, y in work.items():
+                nv = (old.get(k, 0) - f * y) % _P
+                if nv:
+                    old[k] = nv
+                else:
+                    old.pop(k, None)
+            for k in work:
+                if k in old:
+                    users.setdefault(k, set()).add(lead)
+                elif k in users:
+                    users[k].discard(lead)
+        pivots[c] = work
+        for k in work:
+            users.setdefault(k, set()).add(c)
+
+
 @dataclass(frozen=True)
 class SpanBasis:
     """Reduced-echelon basis of a subspace of QQ^col_count.
@@ -237,26 +303,40 @@ def _forced_columns(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int
     return forced, live
 
 
-def _eliminate(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], _Rref]:
-    """Forced-zero columns of a homogeneous system, and the RREF of the rest.
-
-    The columns `_forced_columns` settles vanish on every solution; the
-    remaining rows, restricted to their unforced columns, are eliminated
-    exactly.  The solutions of the system are the vectors vanishing on the
-    forced columns whose other columns solve the restricted rows, and its
-    rank is the number of forced columns plus the number of pivots; its
-    row space is spanned by the forced columns' unit vectors and the pivot
-    rows.  A stored zero at a forcing entry raises ZeroDivisionError, as a
-    zero pivot would.
-    """
+def _presolve(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int]]:
+    """`_forced_columns`, refusing a forcing entry that is a stored zero with
+    ZeroDivisionError, as a zero pivot would be."""
     forced, live = _forced_columns(rows)
     if not all(rows[i][c] for c, i in forced.items()):
         raise ZeroDivisionError("a forcing entry is a stored zero")
+    return forced, live
+
+
+def _eliminate(
+    rows: Sequence[SparseVec], presolved: Optional[Tuple[Dict[int, int], List[int]]] = None
+) -> Tuple[Dict[int, int], _Rref]:
+    """Forced-zero columns of a homogeneous system, and the RREF of the rest.
+
+    The columns `_presolve` settles (or ``presolved``, its result on these
+    rows) vanish on every solution; the remaining rows, restricted to their
+    unforced columns, are eliminated exactly.  The solutions of the system
+    are the vectors vanishing on the forced columns whose other columns
+    solve the restricted rows, and its rank is the number of forced columns
+    plus the number of pivots; its row space is spanned by the forced
+    columns' unit vectors and the pivot rows.
+    """
+    forced, live = _presolve(rows) if presolved is None else presolved
     rr = _Rref()
+    for row in _live_rows(rows, forced, live):
+        rr.insert(row)
+    return forced, rr
+
+
+def _live_rows(rows: Sequence[SparseVec], forced: Container[int], live: Sequence[int]) -> Iterable[SparseVec]:
+    """The rows with two or more unforced columns, restricted to those columns."""
     for row, n in zip(rows, live):
         if n > 1:
-            rr.insert(row if n == len(row) else {c: x for c, x in row.items() if c not in forced})
-    return forced, rr
+            yield row if n == len(row) else {c: x for c, x in row.items() if c not in forced}
 
 
 def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
@@ -277,28 +357,116 @@ def rank(m: SparseMatrix) -> int:
     return len(forced) + len(rr.pivots)
 
 
-def kernel_basis(m: SparseMatrix) -> SpanBasis:
-    """Reduced-echelon basis of {v : m v = 0}.
-
-    Single-entry rows are settled first (`_eliminate`): every kernel
-    vector is zero on a forced column, so the kernel is built from the
-    columns that are neither forced nor pivots of the remaining rows' RREF.
-    It is then re-reduced to its own canonical echelon form.  That form is
-    unique for the subspace, so the vectors are exactly those of a plain
-    elimination over every row, and re-running the reduction on the
-    output changes nothing.
-    """
-    forced, rr = _eliminate(m.rows)
-    pivots = rr.pivots
-    kernel_vecs = []
-    for f in range(m.col_count):
+def _kernel_vectors(
+    col_count: int, forced: Container[int], pivots: Dict[int, Dict[int, Any]], users: Dict[int, set],
+    entry: Callable[[Any], Optional[Fraction]],
+) -> Optional[List[SparseVec]]:
+    """For each column f neither forced nor a pivot, in ascending order,
+    v_f = {f: 1} plus entry(pivots[lead][f]) at each lead of a pivot row
+    touching f; None as soon as an entry is None."""
+    out = []
+    for f in range(col_count):
         if f in pivots or f in forced:
             continue
         v: SparseVec = {f: _ONE}
-        for lead in rr._users.get(f, ()):
-            v[lead] = -pivots[lead][f]
-        kernel_vecs.append(v)
-    return span_basis(kernel_vecs, m.col_count)
+        for lead in users.get(f, ()):
+            x = entry(pivots[lead][f])
+            if x is None:
+                return None
+            v[lead] = x
+        out.append(v)
+    return out
+
+
+def _negated_rational(r: int) -> Optional[Fraction]:
+    """Rational reconstruction of -r mod _P: the fraction n/d with
+    |n|, d <= _HALF_ROOT and n = -r d mod _P, or None when there is none
+    (P. S. Wang, M. J. T. Guy and J. H. Davenport, *P-adic reconstruction
+    of rational numbers*, SIGSAM Bulletin 16, 1982).  There is at most
+    one such fraction, read off the extended Euclidean remainders of _P
+    and -r at the first one not above the bound."""
+    r0, r1, t0, t1 = _P, _P - r, 0, 1
+    while r1 > _HALF_ROOT:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _HALF_ROOT or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_kernel(
+    rows: Sequence[SparseVec], forced: Container[int], live: Sequence[int], col_count: int
+) -> Optional[List[SparseVec]]:
+    """The vectors `kernel_basis` builds, computed from one RREF mod _P and
+    proven exactly, or None when reconstruction or the proof fails.
+
+    The live rows, scaled by the lcm of their denominators, are integer
+    rows with the same kernel.  Their residues go through `_RrefModP`, and
+    each kernel entry is rebuilt by `_negated_rational`.  Each vector,
+    scaled to integers, must then annihilate every integer row, read
+    through a column -> (row, entry) index.
+    """
+    kept = list(_live_rows(rows, forced, live))
+    scale = lcm(*{x.denominator for row in kept for x in row.values()})
+    at: DefaultDict[int, List[Tuple[int, int]]] = defaultdict(list)  # column -> (row, integer entry)
+    rr = _RrefModP()
+    for i, row in enumerate(kept):
+        residues = {}
+        for c, x in row.items():
+            a = x.numerator * (scale // x.denominator)
+            at[c].append((i, a))
+            r = a % _P
+            if r:
+                residues[c] = r
+            elif not a:
+                raise ZeroDivisionError(f"live row {i} stores a zero")
+        rr.insert(residues)
+    vecs = _kernel_vectors(col_count, forced, rr.pivots, rr._users, _negated_rational)
+    if vecs is None:
+        return None
+    for v in vecs:
+        den = lcm(*{x.denominator for x in v.values()})
+        acc: DefaultDict[int, int] = defaultdict(int)
+        for c, x in v.items():
+            w = x.numerator * (den // x.denominator)
+            for i, a in at.get(c, ()):
+                acc[i] += a * w
+        if any(acc.values()):
+            return None
+    return vecs
+
+
+def kernel_basis(m: SparseMatrix) -> SpanBasis:
+    """Reduced-echelon basis of {v : m v = 0}, proven exactly.
+
+    Single-entry rows are settled first (`_presolve`): every kernel vector
+    is zero on a forced column, so the kernel is built from the columns
+    that are neither forced nor pivots of the remaining rows' RREF, one
+    vector v_f per such column f.  That RREF is computed mod _P and its
+    entries are reconstructed as rationals (`_modular_kernel`); the v_f are
+    then proven to span the kernel:
+
+    - each v_f, scaled to integers, annihilates every live row exactly;
+      it is zero on the forced columns, and a row with no live column
+      touches only forced columns, so v_f annihilates all of m;
+    - the v_f are independent, each with a 1 at its own column f and 0 at
+      the others, and there are as many as the kernel dimension mod _P,
+      which is at least the rational one.
+
+    If reconstruction or the check fails, the same vectors are computed by
+    exact elimination (`_eliminate`, reusing the forced pass), so no result
+    depends on _P.  The vectors are finally re-reduced to their canonical
+    echelon form.  That form is unique for the subspace, so they are
+    exactly those of a plain elimination over every row, and re-running
+    the reduction on the output changes nothing.
+    """
+    forced, live = _presolve(m.rows)
+    vecs = _modular_kernel(m.rows, forced, live, m.col_count)
+    if vecs is None:
+        _, rr = _eliminate(m.rows, (forced, live))
+        vecs = _kernel_vectors(m.col_count, forced, rr.pivots, rr._users, operator.neg)
+    return span_basis(vecs, m.col_count)
 
 
 def vanishing_combinations(vectors: Sequence[SparseVec], group: Callable[[int], Any]) -> List[SparseVec]:

@@ -146,8 +146,10 @@ def test_one_exact_elimination_path():
 
 def test_oracle_shares_only_the_forced_pass():
     """The forced-zero worklist is defined once, in ``linalg._forced_columns``,
-    and both eliminations call it.  Beyond it the mod-p oracle reaches none
-    of the exact elimination's code."""
+    and both eliminations call it, the exact one through ``_presolve``.
+    Beyond it the mod-p oracle reaches none of the exact elimination's code
+    and none of the kernel's modular pass, and the kernel never reaches the
+    oracle's elimination."""
     sources = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES + ["__init__"]}
     defined = [
         f"{module}.{node.name}"
@@ -159,10 +161,16 @@ def test_oracle_shares_only_the_forced_pass():
     users = sorted(
         f"{module}.{where}" for module, source in sources.items() for where in callers(source, "_forced_columns")
     )
-    assert users == ["linalg._eliminate", "linalg.kernel_dimension_modp"]
+    assert users == ["linalg._presolve", "linalg.kernel_dimension_modp"]
     names = reached(sources["linalg"], "kernel_dimension_modp", {"_forced_columns"})
     assert {"_forced_columns", "_rank_mod"} <= names
     assert not names & {"_eliminate", "_Rref", "_reduce", "vec_add_scaled"}
+    # the helpers the kernel calls; `_negated_rational` is handed over, not called
+    modular = {"_presolve", "_modular_kernel", "_RrefModP", "_kernel_vectors", "_live_rows"}
+    assert not names & modular
+    kernel = reached(sources["linalg"], "kernel_basis", set())
+    assert modular <= kernel
+    assert "_rank_mod" not in kernel
 
 
 ROW_BUILDERS = {

@@ -36,7 +36,10 @@ from svalgebra.linalg import (
     vec_add_scaled,
     vec_bump,
 )
+from svalgebra import linalg
+from svalgebra.biderivations import biderivation_constraint_matrix
 from svalgebra.operators import derivation_constraint_matrix
+from svalgebra.postlie import solve_postlie_window
 
 from conftest import deadline
 
@@ -516,6 +519,94 @@ def test_kernel_equals_plain_elimination_on_derivations(epsilon):
 def test_kernel_equals_plain_elimination_on_biderivations(biderivations_n3):
     m = biderivations_n3.matrix
     assert biderivations_n3.kernel.vectors == _reference_kernel_basis(m).vectors
+
+
+# -- the modular kernel, its proof and its fallback ---------------------------
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The row lists `kernel_basis` hands back to exact elimination: a spy on
+    `linalg._eliminate` that keeps each call reusing a forced pass
+    (`span_basis`, `rank` and `solve_linear` run their own)."""
+    seen = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, presolved=None):
+        if presolved is not None:
+            seen.append(rows)
+        return eliminate(rows, presolved)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    return seen
+
+
+def _keyed(vectors):
+    """The vectors with their key order, which dict equality ignores."""
+    return [list(v.items()) for v in vectors]
+
+
+def _window_matrix(kind, n, epsilon):
+    build = derivation_constraint_matrix if kind == "der" else biderivation_constraint_matrix
+    return build(Window(n), AlgebraConfig(epsilon))[0]
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)], ids=["e0", "e12"])
+@pytest.mark.parametrize("kind, n", [("der", 3), ("der", 4), ("der", 5), ("der", 6), ("bid", 3)])
+def test_modular_kernel_equals_exact_elimination_on_windows(kind, n, epsilon, fallbacks, monkeypatch):
+    """The proven modular kernel, with no fallback, is the plain
+    elimination's in values and the library's exact elimination's in key
+    order too (the plain elimination orders keys differently)."""
+    m = _window_matrix(kind, n, epsilon)
+    k = kernel_basis(m)
+    assert fallbacks == []
+    assert k.vectors == _reference_kernel_basis(m).vectors
+    monkeypatch.setattr(linalg, "_modular_kernel", lambda *args: None)
+    assert _keyed(k.vectors) == _keyed(kernel_basis(m).vectors)
+    assert fallbacks == [m.rows]
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)], ids=["e0", "e12"])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        pytest.param(lambda cfg: kernel_basis(_window_matrix("der", 8, cfg.epsilon)), id="der8"),
+        pytest.param(lambda cfg: solve_postlie_window(Window(3), cfg), id="brute3"),
+        pytest.param(lambda cfg: solve_postlie_window(Window(4), cfg), id="brute4"),
+    ],
+)
+def test_no_fallback_on_larger_systems(solve, epsilon, fallbacks):
+    """Every kernel of these solves is proven on its first, modular pass:
+    the brute solve's linear system and each cut of its enclosure."""
+    solve(AlgebraConfig(epsilon))
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # P = 2^61 - 1 makes the rows equal mod P: the rank drops, and the
+        # modular kernel vector {2: 1} does not annihilate the second row
+        [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1), 2: F(linalg._P)}],
+        # the kernel vector {0: -1/q, 1: 1} has a denominator above 2^30,
+        # beyond rational reconstruction mod P
+        [{0: F(2**31 + 11), 1: F(1)}],
+    ],
+    ids=["entry-P", "denominator-above-2^30"],
+)
+def test_kernel_falls_back_to_exact_elimination(rows, fallbacks):
+    m = SparseMatrix(3, rows)
+    assert kernel_basis(m).vectors == _reference_kernel_basis(m).vectors
+    assert fallbacks == [rows]
+
+
+def test_kernel_refuses_a_stored_zero_in_a_live_row():
+    """A row appended after construction escapes the constructor's check;
+    the modular pass refuses its zero as `_reduce` would."""
+    m = SparseMatrix(3, [{0: F(1), 1: F(1)}])
+    m.rows.append({0: F(1), 1: F(0), 2: F(1)})
+    with pytest.raises(ZeroDivisionError):
+        kernel_basis(m)
 
 
 def test_reduce_leaves_complement():
