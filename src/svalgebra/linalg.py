@@ -1,16 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros: a
-stored zero anywhere in an input row or vector raises ZeroDivisionError.
-It is tested where rows enter, once per entry: `SparseMatrix` refuses one,
-then a column out of range, at construction (`add_row` drops zeros), and
-`span_basis`, `SpanBasis.reduce` and `contains` refuse one in their vectors.
-Everything is computed by pivoted exact Gaussian elimination over
-``fractions.Fraction`` into the reduced echelon form (each pivot row has
-leading entry 1 and is zero at every other leading column), which `_Rref`
-keeps after each insert, `span_basis` returns, and `_reduce` and
-`kernel_basis` rely on.  It is unique for a fixed column order, so every
-result is deterministic and independent of row insertion order.
+Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros.
+`_refuse_inexact` tests each entry where rows enter: one that
+`algebra.exact` refuses (a float, a string, ...) raises its TypeError,
+then a stored zero raises ZeroDivisionError.  `SparseMatrix` refuses both,
+then a column out of range (`add_row` drops zeros); `span_basis`,
+`SpanBasis.reduce` and `contains` refuse them in their vectors, and
+`solve_linear` in its right-hand side.  Everything is computed by
+pivoted Gaussian elimination into the reduced echelon form (each pivot
+row has leading entry 1 and is zero at every other leading column), which
+`_Rref` keeps after each insert, over the rationals or mod a prime, and
+`_reduce` and `kernel_basis` rely on.  It is unique for a fixed column
+order, so every result is deterministic and independent of row order.
 
 Every elimination, exact or mod p, first settles single-entry rows in
 `_forced_columns`.  A row with one live column forces that column to
@@ -19,23 +20,23 @@ over a column -> rows index follows these cascades in time linear in the
 nonzeros (the first step of sparse presolve: E. D. Andersen and K. D.
 Andersen, *Presolving in linear programming*, Math. Programming 71, 1995).
 The pass reads only the supports, and each caller checks the forcing
-entries it pivots on.  Every exact solve (kernel, rank, span, particular
+entries it pivots on.  Every solve (kernel, rank, span, particular
 solution) settles them once, in `_presolve`, and only rows with two or
 more live columns reach an elimination.  Each result is read off a unique
 canonical form, so it is exactly that of eliminating every row.
 
-`kernel_basis` first tries the same elimination mod the prime
-P = 2^61 - 1 on the live rows scaled to integers (`_RrefModP`), rebuilds
-each kernel entry by rational reconstruction, and proves the result
-exactly: every vector annihilates every live integer row, read through a
-column -> (row, entry) index, and there are as many independent vectors
-as the kernel dimension mod P, which is at least the rational one, so
-they span the rational kernel (the certificate of R. M. McConnell,
-K. Mehlhorn, S. Näher and P. Schweitzer, *Certifying algorithms*,
-Computer Science Review 5, 2011).  If reconstruction or the proof fails,
-it eliminates exactly instead, so no result depends on P.  `span_basis`,
-`rank` and `solve_linear` stay exact: annihilation proves a kernel, not a
-row space.
+`kernel_basis` first computes that form mod the prime P = 2^61 - 1
+(`_Rref(_P)`, the same loops as `_Rref()`) on the live rows scaled to
+integers, rebuilds each kernel entry by rational reconstruction, and
+proves the result exactly: every vector annihilates every live integer
+row, read through a column -> (row, entry) index, and there are as many
+independent vectors as the kernel dimension mod P, which is at least the
+rational one, so they span the rational kernel (the certificate of R. M.
+McConnell, K. Mehlhorn, S. Näher and P. Schweitzer, *Certifying
+algorithms*, Computer Science Review 5, 2011).  If reconstruction or the
+proof fails, it eliminates exactly instead, so no result depends on P.
+`span_basis`, `rank` and `solve_linear` stay exact: annihilation proves a
+kernel, not a row space.
 
 `vanishing_combinations` is the one cut of a span by conditions on its
 coordinates (skewsymmetric biderivations, the trimmed post-Lie enclosure).
@@ -50,9 +51,9 @@ clip.
 The independent cross-check for kernel dimensions, `kernel_dimension_modp`,
 is a sparse integer elimination that decides the rank over three primes in
 one pass modulo their product.  It shares only the support-level forced
-pass with the exact elimination and the kernel's modular pass: its
-arithmetic, its forcing check and its elimination are its own.  The package needs nothing beyond the standard
-library.
+pass with `_Rref`'s eliminations: its arithmetic, its forcing check and
+its elimination are its own.  The package needs nothing beyond the
+standard library.
 """
 from __future__ import annotations
 
@@ -60,8 +61,11 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Any, Callable, Container, DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from .algebra import exact
 
 SparseVec = Dict[int, Fraction]
 
@@ -94,26 +98,38 @@ def vec_add_scaled(target: SparseVec, src: SparseVec, c: Fraction) -> None:
             target.pop(k, None)
 
 
-def _refuse_stored_zeros(rows: Iterable[SparseVec]) -> None:
-    for i, row in enumerate(rows):
-        if not all(row.values()):
-            raise ZeroDivisionError(f"row {i} stores a zero")
+_EXACT_TYPES = {Fraction, int}
+
+
+def _refuse_inexact(rows: Sequence[SparseVec], refuse_zeros: bool = True) -> None:
+    """The entry check where rows enter: `algebra.exact`'s TypeError for an
+    entry it refuses, then ZeroDivisionError for a stored zero unless zeros
+    are allowed.  A class test over all entries runs first, and `exact`
+    only on a miss; each test is one pass over every row's values."""
+    if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, rows)))):
+        for x in chain.from_iterable(map(dict.values, rows)):
+            exact(x)
+    if refuse_zeros and not all(chain.from_iterable(map(dict.values, rows))):
+        i = next(i for i, row in enumerate(rows) if not all(row.values()))
+        raise ZeroDivisionError(f"row {i} stores a zero")
 
 
 @dataclass
 class SparseMatrix:
-    """Row-sparse rational matrix with a fixed column count.  The
-    constructor refuses a stored zero, then a column out of range;
-    `add_row` drops zeros and refuses a column out of range."""
+    """Row-sparse rational matrix with an int column count.  Its rows are
+    checked by `_refuse_inexact`, then for a column out of range; `add_row`
+    drops zeros instead of refusing them."""
 
     col_count: int
     rows: List[SparseVec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        _refuse_stored_zeros(self.rows)
-        for row in self.rows:
-            if row and (min(row) < 0 or max(row) >= self.col_count):
-                raise ValueError("row entry outside column range")
+        if not isinstance(self.col_count, int) or isinstance(self.col_count, bool):
+            raise TypeError(f"column count {self.col_count!r} is not an int")
+        _refuse_inexact(self.rows)
+        cols = set(chain.from_iterable(self.rows))
+        if cols and (min(cols) < 0 or max(cols) >= self.col_count):
+            raise ValueError("row entry outside column range")
 
     @property
     def row_count(self) -> int:
@@ -121,6 +137,7 @@ class SparseMatrix:
 
     def add_row(self, row: SparseVec) -> None:
         """Append a row, stripping explicit zeros (all-zero rows are kept)."""
+        _refuse_inexact((row,), refuse_zeros=False)
         clean = {c: v for c, v in row.items() if v}
         if clean and (min(clean) < 0 or max(clean) >= self.col_count):
             raise ValueError("row entry outside column range")
@@ -138,49 +155,70 @@ class SparseMatrix:
         return out
 
 
-def _reduce(v: SparseVec, by_lead: Dict[int, SparseVec]) -> SparseVec:
-    """Residual of v modulo a reduced echelon basis keyed by leading column.
-
-    Subtracting v[c] times row c clears column c and no other leading
-    column, so one pass over v's leading-column entries settles v.  A
-    stored zero anywhere in v raises ZeroDivisionError.
-    """
-    _refuse_stored_zeros((v,))
+def _reduce(v: SparseVec, by_lead: Dict[int, SparseVec], p: int = 0) -> SparseVec:
+    """Residual of v modulo a reduced echelon basis keyed by leading column,
+    over the rationals, or over Z/p on residues for a prime p.  Subtracting
+    v[c] times row c clears column c and no other leading column, so one
+    pass over v's leading-column entries settles v.  Over the rationals, v
+    is checked by `_refuse_inexact` first; residues are made by the caller."""
+    if not p:
+        _refuse_inexact((v,))
     work = dict(v)
     for c, x in v.items():
-        if c in by_lead:
-            vec_add_scaled(work, by_lead[c], -x)
+        row = by_lead.get(c)
+        if row is not None:
+            for k, y in row.items():
+                nv = work.get(k, 0) - x * y
+                if p:
+                    nv %= p
+                if nv:
+                    work[k] = nv
+                else:
+                    work.pop(k, None)
     return work
 
 
 class _Rref:
-    """Incrementally maintained reduced row echelon form of a row space:
-    each insert keeps the invariant that `_reduce` relies on."""
+    """Incrementally maintained reduced row echelon form of a row space over
+    the rationals, or over Z/p on rows of residues (``_Rref(p)``): each
+    insert keeps the invariant that `_reduce` relies on.  Both fields run
+    the same loops, so they make the same pivots, column index and key
+    order unless p divides an entry met on the way."""
 
-    def __init__(self) -> None:
+    def __init__(self, p: int = 0) -> None:
+        self.p = p
         self.pivots: Dict[int, SparseVec] = {}  # leading column -> normalized row
         self._users: Dict[int, set] = {}  # column -> leads of pivot rows touching it
 
     def insert(self, row: SparseVec) -> Optional[int]:
         """Reduce a row into the form; returns the new pivot column or None."""
-        work = _reduce(row, self.pivots)
+        p, pivots = self.p, self.pivots
+        work = _reduce(row, pivots, p)
         if not work:
             return None
         c = min(work)
-        inv = _ONE / work[c]
+        inv = pow(work[c], -1, p) if p else _ONE / work[c]
         if inv != 1:
-            work = {k: inv * v for k, v in work.items()}
+            work = {k: inv * v % p for k, v in work.items()} if p else {k: inv * v for k, v in work.items()}
         users = self._users
         # back-substitute at column c: each such pivot row changes at work's columns only
         for lead in users.pop(c, ()):
-            old = self.pivots[lead]
-            vec_add_scaled(old, work, -old[c])
+            old = pivots[lead]
+            f = old[c]
+            for k, y in work.items():
+                nv = old.get(k, 0) - f * y
+                if p:
+                    nv %= p
+                if nv:
+                    old[k] = nv
+                else:
+                    old.pop(k, None)
             for k in work:
                 if k in old:
                     users.setdefault(k, set()).add(lead)
                 elif k in users:  # column c itself was popped above
                     users[k].discard(lead)
-        self.pivots[c] = work
+        pivots[c] = work
         for k in work:
             users.setdefault(k, set()).add(c)
         return c
@@ -190,53 +228,6 @@ class _Rref:
 # and Wang's bound on the numerators and denominators read back from it
 _P = (1 << 61) - 1
 _HALF_ROOT = isqrt(_P // 2)
-
-
-class _RrefModP:
-    """`_Rref` on integer residues mod _P: the same inserts with the same
-    column index, so the same pivots, entries and iteration order as over
-    the rationals unless _P divides an entry met on the way."""
-
-    def __init__(self) -> None:
-        self.pivots: Dict[int, Dict[int, int]] = {}
-        self._users: Dict[int, set] = {}
-
-    def insert(self, row: Dict[int, int]) -> None:
-        pivots = self.pivots
-        work = dict(row)
-        for c, x in row.items():
-            prow = pivots.get(c)
-            if prow is not None:
-                for k, y in prow.items():
-                    nv = (work.get(k, 0) - x * y) % _P
-                    if nv:
-                        work[k] = nv
-                    else:
-                        work.pop(k, None)
-        if not work:
-            return
-        c = min(work)
-        inv = pow(work[c], -1, _P)
-        if inv != 1:
-            work = {k: inv * v % _P for k, v in work.items()}
-        users = self._users
-        for lead in users.pop(c, ()):
-            old = pivots[lead]
-            f = old[c]
-            for k, y in work.items():
-                nv = (old.get(k, 0) - f * y) % _P
-                if nv:
-                    old[k] = nv
-                else:
-                    old.pop(k, None)
-            for k in work:
-                if k in old:
-                    users.setdefault(k, set()).add(lead)
-                elif k in users:
-                    users[k].discard(lead)
-        pivots[c] = work
-        for k in work:
-            users.setdefault(k, set()).add(c)
 
 
 @dataclass(frozen=True)
@@ -344,7 +335,7 @@ def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
     the forced columns' unit vectors and `_eliminate`'s pivot rows, which
     vanish on the forced columns."""
     vectors = list(vectors)
-    _refuse_stored_zeros(vectors)
+    _refuse_inexact(vectors)
     forced, rr = _eliminate(vectors)
     by_lead: Dict[int, SparseVec] = {c: {c: _ONE} for c in forced}
     by_lead.update(rr.pivots)
@@ -358,12 +349,12 @@ def rank(m: SparseMatrix) -> int:
 
 
 def _kernel_vectors(
-    col_count: int, forced: Container[int], pivots: Dict[int, Dict[int, Any]], users: Dict[int, set],
-    entry: Callable[[Any], Optional[Fraction]],
+    col_count: int, forced: Container[int], rr: _Rref, entry: Callable[[Any], Optional[Fraction]]
 ) -> Optional[List[SparseVec]]:
-    """For each column f neither forced nor a pivot, in ascending order,
-    v_f = {f: 1} plus entry(pivots[lead][f]) at each lead of a pivot row
-    touching f; None as soon as an entry is None."""
+    """For each column f neither forced nor a pivot of rr, in ascending
+    order, v_f = {f: 1} plus entry(pivots[lead][f]) at each lead of a pivot
+    row touching f; None as soon as an entry is None."""
+    pivots, users = rr.pivots, rr._users
     out = []
     for f in range(col_count):
         if f in pivots or f in forced:
@@ -402,7 +393,7 @@ def _modular_kernel(
     proven exactly, or None when reconstruction or the proof fails.
 
     The live rows, scaled by the lcm of their denominators, are integer
-    rows with the same kernel.  Their residues go through `_RrefModP`, and
+    rows with the same kernel.  Their residues go through `_Rref(_P)`, and
     each kernel entry is rebuilt by `_negated_rational`.  Each vector,
     scaled to integers, must then annihilate every integer row, read
     through a column -> (row, entry) index.
@@ -410,7 +401,7 @@ def _modular_kernel(
     kept = list(_live_rows(rows, forced, live))
     scale = lcm(*{x.denominator for row in kept for x in row.values()})
     at: DefaultDict[int, List[Tuple[int, int]]] = defaultdict(list)  # column -> (row, integer entry)
-    rr = _RrefModP()
+    rr = _Rref(_P)
     for i, row in enumerate(kept):
         residues = {}
         for c, x in row.items():
@@ -422,7 +413,7 @@ def _modular_kernel(
             elif not a:
                 raise ZeroDivisionError(f"live row {i} stores a zero")
         rr.insert(residues)
-    vecs = _kernel_vectors(col_count, forced, rr.pivots, rr._users, _negated_rational)
+    vecs = _kernel_vectors(col_count, forced, rr, _negated_rational)
     if vecs is None:
         return None
     for v in vecs:
@@ -465,7 +456,7 @@ def kernel_basis(m: SparseMatrix) -> SpanBasis:
     vecs = _modular_kernel(m.rows, forced, live, m.col_count)
     if vecs is None:
         _, rr = _eliminate(m.rows, (forced, live))
-        vecs = _kernel_vectors(m.col_count, forced, rr.pivots, rr._users, operator.neg)
+        vecs = _kernel_vectors(m.col_count, forced, rr, operator.neg)
     return span_basis(vecs, m.col_count)
 
 
@@ -499,6 +490,7 @@ def solve_linear(m: SparseMatrix, rhs: Sequence[Fraction]) -> Optional[SparseVec
     does force its column to zero.  Returns None when the system is
     inconsistent (the augmented column is forced or a pivot).
     """
+    _refuse_inexact((dict(enumerate(rhs)),), refuse_zeros=False)
     if len(rhs) != m.row_count:
         raise ValueError("rhs length must match row count")
     aug = m.col_count  # extra column carrying -rhs

@@ -35,6 +35,8 @@ class Window:
     radius: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.radius, int) or isinstance(self.radius, bool):
+            raise ValueError(f"window radius {self.radius!r} is not an integer")
         if self.radius < 1:
             raise ValueError("window radius must be >= 1")
 

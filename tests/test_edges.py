@@ -13,6 +13,7 @@ from svalgebra import (
     Element,
     GeneratorId,
     OmegaSet,
+    SparseMatrix,
     Window,
     axiom_defect,
     chi_omega,
@@ -26,12 +27,14 @@ from svalgebra import (
     prop4_solve,
     realize,
     solve_all_propositions,
+    span_basis,
     triviality_witness,
     validate_generator,
     verify_triviality_theorem,
 )
 from svalgebra import algebra
 from svalgebra.cli import build_parser, main
+from svalgebra.linalg import solve_linear
 from svalgebra.parsing import format_tensor_lines, parse_tensor_lines
 from svalgebra.postlie import solve_postlie_window
 from svalgebra.propositions import GridCoords
@@ -56,6 +59,11 @@ class TestExactScalars:
         "OmegaSet": lambda x: OmegaSet({0: x}),
         "BiderivationForm": lambda x: BiderivationForm(x, {}),
         "GridCoords.encode": lambda x: GridCoords(3, ("k",)).encode({("k", 0, 0): x}),
+        "SparseMatrix": lambda x: SparseMatrix(2, [{0: x}]),
+        "SparseMatrix.add_row": lambda x: SparseMatrix(2).add_row({0: x}),
+        "span_basis": lambda x: span_basis([{0: x, 1: Fraction(1)}], 2),
+        "SpanBasis.contains": lambda x: span_basis([{0: Fraction(1)}], 2).contains({0: x}),
+        "solve_linear rhs": lambda x: solve_linear(SparseMatrix(2, [{0: Fraction(1)}]), [x]),
     }
 
     @pytest.mark.parametrize("value", [0.1, "1/2", 0.0], ids=["float", "text", "zero-float"])
@@ -122,6 +130,17 @@ def test_window_require():
     Window(4).require(4, "a solver")
     with pytest.raises(ValueError, match=r"^a solver needs window radius >= 5$"):
         Window(4).require(5, "a solver")
+
+
+@pytest.mark.parametrize("radius", [3.0, Fraction(7, 2), Fraction(3), True, "3"], ids=repr)
+def test_window_refuses_a_radius_that_is_not_an_integer(radius):
+    with pytest.raises(ValueError, match=r"^window radius .* is not an integer$"):
+        Window(radius)
+
+
+def test_sparse_matrix_refuses_a_column_count_that_is_not_an_int():
+    with pytest.raises(TypeError, match=r"^column count 2\.0 is not an int$"):
+        SparseMatrix(2.0, [{0: Fraction(1)}])
 
 
 def min_window(command, *args):

@@ -1,7 +1,7 @@
 """Package hygiene: every module of ``svalgebra`` uses the names it imports,
 the package exports exactly the names its ``__init__`` imports, one
-function builds an exact elimination, the mod-p oracle shares only the
-forced-zero presolve with it, the post-Lie checker evaluates instances
+echelon-form class serves the rational and the modular elimination, the
+mod-p oracle shares only the forced-zero presolve with them, the post-Lie checker evaluates instances
 without the Element bracket, the parser has no character cursor and
 keeps no state between calls, solvers guard their radius only through
 ``Window.require``, the command line keeps one subcommand table and
@@ -134,14 +134,28 @@ def test_scan_follows_module_functions_and_stops_at_shared_ones():
 
 
 def test_one_exact_elimination_path():
-    """Every exact solve goes through the forced-zero presolve: only
-    ``linalg._eliminate`` builds an ``_Rref``."""
-    builders = [
-        f"{module}.{where}"
-        for module in MODULES + ["__init__"]
-        for where in callers((PACKAGE / f"{module}.py").read_text(), "_Rref")
+    """Every solve goes through the forced-zero presolve: only
+    ``linalg._eliminate`` (over the rationals) and ``linalg._modular_kernel``
+    (mod ``_P``) build an ``_Rref``, which is the package's one echelon-form
+    class; ``_RrefModP``, its former copy mod ``_P``, is defined nowhere."""
+    sources = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES + ["__init__"]}
+    builders = [f"{module}.{where}" for module, source in sources.items() for where in callers(source, "_Rref")]
+    assert builders == ["linalg._eliminate", "linalg._modular_kernel"]
+    built = {
+        node.name: [ast.unparse(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id == "_Rref"]
+        for node in ast.parse(sources["linalg"]).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert built["_eliminate"] == ["_Rref()"]
+    assert built["_modular_kernel"] == ["_Rref(_P)"]
+    defined = [
+        f"{module}.{node.name}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name.startswith("_Rref")
     ]
-    assert builders == ["linalg._eliminate"]
+    assert defined == ["linalg._Rref"]
 
 
 def test_oracle_shares_only_the_forced_pass():
@@ -166,7 +180,7 @@ def test_oracle_shares_only_the_forced_pass():
     assert {"_forced_columns", "_rank_mod"} <= names
     assert not names & {"_eliminate", "_Rref", "_reduce", "vec_add_scaled"}
     # the helpers the kernel calls; `_negated_rational` is handed over, not called
-    modular = {"_presolve", "_modular_kernel", "_RrefModP", "_kernel_vectors", "_live_rows"}
+    modular = {"_presolve", "_modular_kernel", "_Rref", "_kernel_vectors", "_live_rows"}
     assert not names & modular
     kernel = reached(sources["linalg"], "kernel_basis", set())
     assert modular <= kernel

@@ -18,6 +18,7 @@ The differential tests require it and `kernel_dimension_modp` to return
 the same kernel dimension or raise the same error.
 """
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -598,6 +599,35 @@ def test_kernel_falls_back_to_exact_elimination(rows, fallbacks):
     m = SparseMatrix(3, rows)
     assert kernel_basis(m).vectors == _reference_kernel_basis(m).vectors
     assert fallbacks == [rows]
+
+
+def test_rational_and_modular_forms_move_in_lockstep():
+    """`_Rref()` on integer rows and `_Rref(_P)` on their residues run one
+    code path: after every insert, the same pivot columns, the same column
+    index and pivot rows with the same key order, whose entries agree mod P
+    (n/d read as n * d^-1 mod P).  With at most 10 columns and entries
+    |x| <= 9, every minor is below (9 * sqrt(10))^10 < 30^10 < P
+    (Hadamard's bound), so P divides no entry met on the way.  Rows
+    outnumber columns often enough that many inserts reduce to zero."""
+    rng = random.Random(23)
+    p = linalg._P
+    dependent = 0
+    for _ in range(60):
+        cols = rng.randint(1, 10)
+        exact, modular = _Rref(), _Rref(p)
+        for _ in range(rng.randint(1, 14)):
+            picked = sorted(rng.sample(range(cols), rng.randint(1, min(5, cols))))
+            row = {c: F(rng.choice([-9, -5, -2, -1, 1, 2, 3, 7, 9])) for c in picked}
+            lead = exact.insert(row)
+            assert lead == modular.insert({c: int(x) % p for c, x in row.items()})
+            dependent += lead is None
+            assert list(exact.pivots) == list(modular.pivots)
+            assert exact._users == modular._users
+            for lead, prow in exact.pivots.items():
+                mrow = modular.pivots[lead]
+                assert list(prow) == list(mrow)
+                assert all(x.numerator * pow(x.denominator, -1, p) % p == mrow[k] for k, x in prow.items())
+    assert dependent > 100
 
 
 def test_kernel_refuses_a_stored_zero_in_a_live_row():
