@@ -1,14 +1,14 @@
 """Package hygiene: every module of ``svalgebra`` uses the names it imports,
 the package exports exactly the names its ``__init__`` imports, one
 echelon-form class serves the rational and the modular elimination, the
-mod-p oracle shares only the forced-zero presolve with them, the post-Lie checker evaluates instances
-without the Element bracket, the parser has no character cursor and
-keeps no state between calls, solvers guard their radius only through
-``Window.require``, the command line keeps one subcommand table and
-reads no argv text with Python's own number grammar, each algebra rule
-(the structure constants, the lattice check and its error, the sweep
-verdict) is written once, and no source line is longer than 114
-characters.
+mod-p oracle shares only the forced-zero presolve with them, the post-Lie
+checker evaluates instances without the Element bracket, the parser has no
+character cursor and keeps no state between calls, solvers guard their
+radius only through ``Window.require``, the command line keeps one
+subcommand table and reads no argv text with Python's own number grammar,
+each algebra rule (the structure constants, the lattice check and its
+error, the sweep verdict) is written once, and no source line is longer
+than 114 characters.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of

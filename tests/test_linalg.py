@@ -623,8 +623,8 @@ def test_rational_and_modular_forms_move_in_lockstep():
             dependent += lead is None
             assert list(exact.pivots) == list(modular.pivots)
             assert exact._users == modular._users
-            for lead, prow in exact.pivots.items():
-                mrow = modular.pivots[lead]
+            for c, prow in exact.pivots.items():
+                mrow = modular.pivots[c]
                 assert list(prow) == list(mrow)
                 assert all(x.numerator * pow(x.denominator, -1, p) % p == mrow[k] for k, x in prow.items())
     assert dependent > 100
