@@ -3,15 +3,18 @@
 Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros.
 `_refuse_inexact` tests each entry where rows enter: one that
 `algebra.exact` refuses (a float, a string, ...) raises its TypeError,
-then a stored zero raises ZeroDivisionError.  `SparseMatrix` refuses both,
-then a column out of range (`add_row` drops zeros); `span_basis`,
-`SpanBasis.reduce` and `contains` refuse them in their vectors, and
-`solve_linear` in its right-hand side.  Everything is computed by
-pivoted Gaussian elimination into the reduced echelon form (each pivot
-row has leading entry 1 and is zero at every other leading column), which
-`_Rref` keeps after each insert, over the rationals or mod a prime, and
-`_reduce` and `kernel_basis` rely on.  It is unique for a fixed column
-order, so every result is deterministic and independent of row order.
+then a stored zero raises ZeroDivisionError.  `SparseMatrix` and
+`span_basis` refuse both, then a column out of range (`add_row` drops
+zeros); `SpanBasis.reduce` and `contains` refuse both, and `solve_linear`
+the first in its right-hand side.  Each solver refuses alike the entries
+it reads (forcing entries, live rows, every entry in the mod-p oracle), so
+a row appended to ``SparseMatrix.rows`` is refused where it is read.
+Everything is computed by pivoted Gaussian elimination into the reduced
+echelon form (each pivot row has leading entry 1 and is zero at every
+other leading column), which `_Rref` keeps after each insert, over the
+rationals or mod a prime, and `_reduce` and `kernel_basis` rely on.  It is
+unique for a fixed column order, so every result is deterministic and
+independent of row order.
 
 Every elimination, exact or mod p, first settles single-entry rows in
 `_forced_columns`.  A row with one live column forces that column to
@@ -114,11 +117,26 @@ def _refuse_inexact(rows: Sequence[SparseVec], refuse_zeros: bool = True) -> Non
         raise ZeroDivisionError(f"row {i} stores a zero")
 
 
+def _denominators(rows: Sequence[SparseVec]) -> Set[int]:
+    """The denominators of the rows' entries; `_refuse_inexact` refuses one without."""
+    try:
+        return {x.denominator for row in rows for x in row.values()}
+    except AttributeError:
+        _refuse_inexact(rows)
+        raise
+
+
+def _refuse_out_of_range(rows: Iterable[SparseVec], col_count: int) -> None:
+    cols = set(chain.from_iterable(rows))
+    if cols and (min(cols) < 0 or max(cols) >= col_count):
+        raise ValueError("row entry outside column range")
+
+
 @dataclass
 class SparseMatrix:
-    """Row-sparse rational matrix with an int column count.  Its rows are
-    checked by `_refuse_inexact`, then for a column out of range; `add_row`
-    drops zeros instead of refusing them."""
+    """Row-sparse rational matrix with a non-negative int column count.  Its
+    rows are checked by `_refuse_inexact`, then for a column out of range;
+    `add_row` drops zeros instead of refusing them."""
 
     col_count: int
     rows: List[SparseVec] = field(default_factory=list)
@@ -126,10 +144,10 @@ class SparseMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.col_count, int) or isinstance(self.col_count, bool):
             raise TypeError(f"column count {self.col_count!r} is not an int")
+        if self.col_count < 0:
+            raise ValueError(f"column count {self.col_count} is negative")
         _refuse_inexact(self.rows)
-        cols = set(chain.from_iterable(self.rows))
-        if cols and (min(cols) < 0 or max(cols) >= self.col_count):
-            raise ValueError("row entry outside column range")
+        _refuse_out_of_range(self.rows, self.col_count)
 
     @property
     def row_count(self) -> int:
@@ -139,8 +157,7 @@ class SparseMatrix:
         """Append a row, stripping explicit zeros (all-zero rows are kept)."""
         _refuse_inexact((row,), refuse_zeros=False)
         clean = {c: v for c, v in row.items() if v}
-        if clean and (min(clean) < 0 or max(clean) >= self.col_count):
-            raise ValueError("row entry outside column range")
+        _refuse_out_of_range((clean,), self.col_count)
         self.rows.append(clean)
 
     def multiply(self, v: SparseVec) -> List[Fraction]:
@@ -295,10 +312,12 @@ def _forced_columns(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int
 
 
 def _presolve(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int]]:
-    """`_forced_columns`, refusing a forcing entry that is a stored zero with
-    ZeroDivisionError, as a zero pivot would be."""
+    """`_forced_columns`, refusing a forcing entry as `_refuse_inexact` does,
+    a stored zero as a zero pivot would be."""
     forced, live = _forced_columns(rows)
-    if not all(rows[i][c] for c, i in forced.items()):
+    forcing = {c: rows[i][c] for c, i in forced.items()}
+    _refuse_inexact((forcing,), refuse_zeros=False)
+    if not all(forcing.values()):
         raise ZeroDivisionError("a forcing entry is a stored zero")
     return forced, live
 
@@ -333,9 +352,10 @@ def _live_rows(rows: Sequence[SparseVec], forced: Container[int], live: Sequence
 def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
     """Canonical reduced-echelon basis of the span of the given vectors:
     the forced columns' unit vectors and `_eliminate`'s pivot rows, which
-    vanish on the forced columns."""
+    vanish on the forced columns.  Vectors are checked as matrix rows are."""
     vectors = list(vectors)
     _refuse_inexact(vectors)
+    _refuse_out_of_range(vectors, col_count)
     forced, rr = _eliminate(vectors)
     by_lead: Dict[int, SparseVec] = {c: {c: _ONE} for c in forced}
     by_lead.update(rr.pivots)
@@ -399,7 +419,7 @@ def _modular_kernel(
     through a column -> (row, entry) index.
     """
     kept = list(_live_rows(rows, forced, live))
-    scale = lcm(*{x.denominator for row in kept for x in row.values()})
+    scale = lcm(*_denominators(kept))
     at: DefaultDict[int, List[Tuple[int, int]]] = defaultdict(list)  # column -> (row, integer entry)
     rr = _Rref(_P)
     for i, row in enumerate(kept):
@@ -669,10 +689,7 @@ def kernel_dimension_modp(m: SparseMatrix) -> int:
     """
     q = prod(_PRIMES)
     forced, live = _forced_columns(m.rows)
-    inverses: Dict[int, Optional[int]] = {
-        d: pow(d, -1, q) if gcd(d, q) == 1 else None
-        for d in {v.denominator for row in m.rows for v in row.values()}
-    }
+    inverses = {d: pow(d, -1, q) if gcd(d, q) == 1 else None for d in _denominators(m.rows)}
     bad = [d for d, inv in inverses.items() if inv is None]
     if bad:
         p = min(p for p in _PRIMES if any(d % p == 0 for d in bad))
@@ -685,6 +702,8 @@ def kernel_dimension_modp(m: SparseMatrix) -> int:
                 x = v.numerator * inverses[v.denominator] % q
                 if x:
                     out[c] = x
+                elif not v:
+                    raise ZeroDivisionError("a row stores a zero")
         return out
 
     if all(gcd(m.rows[i][c].numerator, q) == 1 for c, i in forced.items()):

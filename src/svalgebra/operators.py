@@ -6,26 +6,27 @@ finite window four things live here:
   * the three outer derivations (D1, D2, D3), each written once as the
     image of one generator (``outer_image``), and inner derivations ad x,
   * a defect checker for the Leibniz identity over window pairs, on the
-    integer core (``windows.LeibnizCheck``) the biderivation checker
-    shares,
+    integer core (``windows.LeibnizCheck``, the bracket table extended by
+    the operator's value generators) the biderivation checker shares,
   * the exact constraint system whose kernel is the space of all window
     operators satisfying every truncation-faithful Leibniz constraint, on
     the columns ``OperatorCoords`` (the arity-1 ``windows.WindowCoords``),
     compared (``linalg.KernelComparison``) against the span of the known
-    derivations on its interior; its rows (``derivation_rows``) also give the identity (2)
-    rows of every biderivation slice,
+    derivations on its interior; its rows (``derivation_rows``) also give
+    the identity (2) rows of every biderivation slice,
   * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3, whose
     columns are the images ``bracket_basis(x, g)`` and ``outer_image``.
 
 Truncation discipline: a constraint row is emitted for a pair (g1, g2) and
 an output coordinate h only when every generator the identity needs at
 that coordinate exists inside the window.  Concretely the inner bracket
-[g1,g2] must be window-supported and |h - g1|, |h - g2| <= N, which covers
-every re-bracketed image coordinate.  Window restrictions of genuine
-derivations then satisfy every emitted row exactly, with no tolerance.
-Rows are computed from the window's integer-position bracket table
-(``windows.BracketTable``, read from ``algebra.structure`` on doubled
-indices), which lists the closed pairs once: every term is a table lookup
+[g1,g2] must be window-supported and |h - g1|, |h - g2| <= N
+(``BracketTable.faithful``), which covers every re-bracketed image
+coordinate.  Window restrictions of genuine derivations then satisfy every
+emitted row exactly, with no tolerance.  Rows are computed from the
+window's one integer-position bracket table (``windows.BracketTable``),
+which lists the closed pairs once; ``derivation_rows`` inverts it once,
+and [p, g] = -[g, p] gives the other side.  Every term is a table lookup
 plus integer column arithmetic, with no generator arithmetic per row.
 """
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .linalg import (
     solve_linear,
     vec_bump,
 )
-from .windows import BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
+from .windows import OUTSIDE, BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
 M0 = gen("M", 0)
 
@@ -177,14 +178,21 @@ def derivation_rows(table: BracketTable) -> Iterator[SparseVec]:
     """One row per (closed pair of ``table.pairs``, faithful output
     coordinate), on the ``OperatorCoords`` columns of the table's window;
     see the module docstring for the emission rule."""
-    n = table.n
-    for p1, p2, t, ct in table.pairs:
-        for h in table.anchored_targets(p1, p2):
+    n, m = table.n, table.m
+    # inverse[x * n + t]: each (p, c), p ascending, with [x, p] = c * t in the window
+    inverse: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
+    for x in range(n):
+        for p, e in enumerate(table.table[x * m:x * m + n]):
+            if e is not None and e[0] != OUTSIDE:
+                inverse[x * n + e[0]].append((p, Fraction(e[1], 2)))
+    for p1, p2, t, dt in table.pairs:
+        ct = Fraction(dt, 2)
+        for h in table.faithful(p1, p2, range(n)):
             row: SparseVec = {t * n + h: ct} if ct else {}
-            # -[op(g1), g2] at h, then -[g1, op(g2)] at h
-            for p, c in table.right[p2 * n + h]:
-                vec_bump(row, p1 * n + p, -c)
-            for p, c in table.left[p1 * n + h]:
+            # -[op(g1), g2] = [g2, op(g1)] at h, then -[g1, op(g2)] at h
+            for p, c in inverse[p2 * n + h]:
+                vec_bump(row, p1 * n + p, c)
+            for p, c in inverse[p1 * n + h]:
                 vec_bump(row, p2 * n + p, -c)
             yield row
 

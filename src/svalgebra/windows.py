@@ -1,6 +1,7 @@
-"""Finite index windows, the column layout of window maps, bracket tables
-on integer positions read from ``algebra.structure``, the Leibniz rule the
-derivation and biderivation checkers share, and defect reports.
+"""Finite index windows, the column layout of window maps, the one bracket
+table on integer positions read from ``algebra.structure``, the Leibniz
+rule the derivation and biderivation checkers share as that table extended
+by their values, and defect reports.
 
 All solvers and checkers work on the finite slice of the algebra spanned by
 generators whose index has absolute value at most a radius N.  The interior
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .algebra import (
     AlgebraConfig, Element, GeneratorId, bracket_basis, format_rational, gen, jacobi_defect, structure,
@@ -149,50 +150,75 @@ OUTSIDE = -1
 class BracketTable:
     """The window's structure constants on integer positions.
 
-    Positions index ``Window.generators`` in canonical order; ``structure``
-    reads each bracket on their doubled indices ``twice_index``.  The
-    inverse lists, keyed by ``partner * n + target`` and in ascending
-    position order, hold every in-window (p, c): ``left`` with [partner, p]
-    = c*target, ``right`` with [p, partner] = c*target.  Because the
-    algebra is graded, these lookups replace all index arithmetic on
-    generators.
-
-    ``pairs`` lists the closed pairs a < b, whose bracket vanishes or stays
-    in the window, ascending, as (a, b, target position, coefficient), with
-    target and coefficient 0 when the bracket vanishes.
+    Positions are the window generators in canonical order, then each new
+    ``extra`` generator, then any generator met as an in-window bracket;
+    ``twice`` holds their doubled indices and ``at`` maps (family, doubled
+    index) to a position.  ``table[g * m + h]``, for window g and each of
+    the first m positions h (the window and the extras), is [g, h] read
+    once from ``structure``: None when it vanishes, else (target position,
+    or OUTSIDE past the window, doubled coefficient).  Because the algebra
+    is graded, these lookups replace all index arithmetic on generators.
+    ``pairs`` lists the closed window pairs a < b, whose bracket vanishes
+    or stays in the window, ascending, as (a, b, target, doubled
+    coefficient), with (0, 0) when it vanishes; the rule at (b, a) is the
+    negative of the one at (a, b), and zero at (a, a).  Raises ValueError
+    naming an extra generator whose index is not a half-integer, or a
+    bracket whose coefficient is not; generators of SV(eps) never are.
     """
 
-    def __init__(self, w: Window, cfg: AlgebraConfig):
+    def __init__(self, w: Window, cfg: AlgebraConfig, extra: Iterable[GeneratorId] = ()):
         gens = w.generators(cfg)
         n = self.n = len(gens)
-        self.radius = w.radius
-        d = self.twice_index = [int(2 * g.index) for g in gens]
-        pos = {(g.family, d[i]): i for i, g in enumerate(gens)}
-        self.left: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
-        self.right: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n * n)]
-        self.pairs: List[Tuple[int, int, int, Fraction]] = []
-        for a, ga in enumerate(gens):
-            for b, gb in enumerate(gens):
-                value = structure(ga.family, d[a], gb.family, d[b])
-                if value is None:
-                    t, c = 0, Fraction(0)
-                else:
-                    t, c = pos.get((value[0], d[a] + d[b]), OUTSIDE), Fraction(value[1], 4)
-                    if t != OUTSIDE:
-                        self.left[a * n + t].append((b, c))
-                        self.right[b * n + t].append((a, c))
-                if a < b and t != OUTSIDE:
-                    self.pairs.append((a, b, t, c))
+        self.reach = 2 * w.radius
+        self.order: List[GeneratorId] = []
+        self.twice: List[int] = []
+        self.at: Dict[Tuple[str, int], int] = {}
+        self._pos: Dict[GeneratorId, int] = {}
+        for g in chain(gens, extra):
+            self.position(g)
+        m = self.m = len(self.order)
+        table = self.table = [self._bracket(g, h) for g in range(n) for h in range(m)]
+        self.pairs: List[Tuple[int, int, int, int]] = [
+            (a, b) + (e or (0, 0))
+            for a in range(n) for b in range(a + 1, n)
+            if (e := table[a * m + b]) is None or e[0] != OUTSIDE
+        ]
 
-    def anchored_targets(self, a: int, b: int) -> List[int]:
-        """Positions whose index lies within N of the indices at a and b."""
-        d = self.twice_index
-        lo = max(d[a], d[b]) - 2 * self.radius
-        hi = min(d[a], d[b]) + 2 * self.radius
-        return [h for h in range(self.n) if lo <= d[h] <= hi]
+    def position(self, g: GeneratorId) -> int:
+        """The position of g, numbering it next if it has none."""
+        p = self._pos.get(g)
+        if p is None:
+            d, odd = divmod(2 * g.index.numerator, g.index.denominator)
+            if odd:
+                raise ValueError(f"generator {g}: index {format_rational(g.index)} is not a half-integer")
+            self.twice.append(d)
+            p = self._pos[g] = self.at[g.family, d] = len(self.order)
+            self.order.append(g)
+        return p
+
+    def _bracket(self, x: int, y: int) -> Optional[Tuple[int, int]]:
+        order, twice = self.order, self.twice
+        value = structure(order[x].family, twice[x], order[y].family, twice[y])
+        if value is None:
+            return None
+        dc, odd = divmod(value[1], 2)
+        if odd:
+            q = format_rational(Fraction(value[1], 4))
+            raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {q} is not a half-integer")
+        d = twice[x] + twice[y]
+        t = OUTSIDE if abs(d) > self.reach else self.at.get((value[0], d))
+        return (self.position(gen(value[0], Fraction(d, 2))) if t is None else t), dc
+
+    def faithful(self, a: int, b: int, positions: Iterable[int]) -> List[int]:
+        """The positions h where the rule at the pair (a, b) is faithful:
+        |h| <= N and |h - a|, |h - b| <= N."""
+        twice = self.twice
+        lo = max(twice[a], twice[b], 0) - self.reach
+        hi = min(twice[a], twice[b], 0) + self.reach
+        return [h for h in positions if lo <= twice[h] <= hi]
 
 
-class LeibnizCheck:
+class LeibnizCheck(BracketTable):
     """The Leibniz rule D([a,b]) - [D(a), b] - [a, D(b)] on integer positions.
 
     ``values`` lists every image the checked map D can take, as term dicts;
@@ -202,71 +228,20 @@ class LeibnizCheck:
     derivation (M. Bresar and K. Zhao, J. Lie Theory 28, 2018), so both of
     its identities are instances over its n*n values.
 
-    Positions are the window generators first, then every other generator
-    met in a value or as an in-window bracket, each with its doubled index.
-    Values are (position, s * coefficient) terms, s the lcm of all their
-    denominators, and brackets carry doubled coefficients, so a defect is
-    computed in integers as exactly 2s times the rational one.  Raises
-    ValueError naming a value generator whose index is not a half-integer,
-    or a bracket whose coefficient is not; generators of SV(eps) never are.
-
-    ``pairs`` is ``BracketTable.pairs`` with doubled coefficients, kept in
-    the check's own table, so the check builds no ``BracketTable``.  The
-    rule at (b, a) is the negative of the one at (a, b), and zero at (a, a).
+    The check is the window's ``BracketTable`` extended by the values'
+    generators.  Values are (position, s * coefficient) terms, s the lcm of
+    all their denominators, and brackets carry doubled coefficients, so a
+    defect is computed in integers as exactly 2s times the rational one.
     """
 
     def __init__(self, w: Window, cfg: AlgebraConfig, values: Sequence[Mapping[GeneratorId, Fraction]]):
-        gens = w.generators(cfg)
-        n = len(gens)
-        reach = 2 * w.radius
-        order: List[GeneratorId] = []
-        pos: Dict[GeneratorId, int] = {}
-        at: Dict[Tuple[str, int], int] = {}  # (family, doubled index) -> position
-        twice: List[int] = []
-
-        def position(g: GeneratorId) -> int:
-            p = pos.get(g)
-            if p is None:
-                d, odd = divmod(2 * g.index.numerator, g.index.denominator)
-                if odd:
-                    raise ValueError(f"generator {g}: index {format_rational(g.index)} is not a half-integer")
-                twice.append(d)
-                p = pos[g] = at[g.family, d] = len(order)
-                order.append(g)
-            return p
-
-        for g in gens:
-            position(g)
-        scale = lcm(*{c.denominator for terms in values for c in terms.values()})
+        super().__init__(w, cfg, (h for terms in values for h in terms))
+        pos = self._pos
+        scale = self.scale = lcm(*{c.denominator for terms in values for c in terms.values()})
         self.flat = [
-            [(position(h), c.numerator * (scale // c.denominator)) for h, c in terms.items()]
+            [(pos[h], c.numerator * (scale // c.denominator)) for h, c in terms.items()]
             for terms in values
         ]
-
-        def doubled_bracket(x: int, y: int) -> Optional[Tuple[int, int]]:
-            value = structure(order[x].family, twice[x], order[y].family, twice[y])
-            if value is None:
-                return None
-            dc, odd = divmod(value[1], 2)
-            if odd:
-                q = format_rational(Fraction(value[1], 4))
-                raise ValueError(f"bracket [{order[x]}, {order[y]}]: coefficient {q} is not a half-integer")
-            d = twice[x] + twice[y]
-            t = OUTSIDE if abs(d) > reach else at.get((value[0], d))
-            return (position(gen(value[0], Fraction(d, 2))) if t is None else t), dc
-
-        # table[g * m + h] = [g, h] for window g and every value position h:
-        # None when zero, else (target position, or OUTSIDE when it leaves
-        # the window, doubled coefficient)
-        m = self.m = len(order)
-        table = self.table = [doubled_bracket(g, h) for g in range(n) for h in range(m)]
-        self.pairs: List[Tuple[int, int, int, int]] = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                e = table[a * m + b]
-                if e is None or e[0] != OUTSIDE:
-                    self.pairs.append((a, b) + (e or (0, 0)))
-        self.order, self.twice, self.reach, self.scale = order, twice, reach, scale
 
     def instance(self, a: int, b: int, cb: int, da: int, db: int, dt: int) -> Optional[Dict[int, int]]:
         """2s * (D([a,b]) - [D(a), b] - [a, D(b)]) for the entry (a, b, _, cb)
@@ -274,7 +249,7 @@ class LeibnizCheck:
 
         None when a re-bracketed value leaves the window (the instance is
         not closed); else the defect as {position: int} on the coordinates
-        h with |h| <= N and |h - a|, |h - b| <= N, empty when the rule holds.
+        ``faithful`` at (a, b), empty when the rule holds.
         """
         flat, table, m = self.flat, self.table, self.m
         # Against a monomial the products of distinct terms never collide
@@ -307,12 +282,7 @@ class LeibnizCheck:
                     acc[h] = nv
                 else:
                     del acc[h]
-        if not acc:
-            return acc
-        twice, reach = self.twice, self.reach
-        lo = max(twice[a], twice[b], 0) - reach
-        hi = min(twice[a], twice[b], 0) + reach
-        return {h: c for h, c in acc.items() if lo <= twice[h] <= hi}
+        return {h: acc[h] for h in self.faithful(a, b, acc)} if acc else acc
 
     def element(self, defect: Dict[int, int]) -> Element:
         """The rational element of an integer defect from ``instance``."""

@@ -7,9 +7,10 @@ rows one by one through `SparseMatrix.add_row`.  `_reference_cut` is the
 span cut as it was before `linalg.vanishing_combinations`: group sums
 added row by row in sorted group order, then the kernel combinations.
 Every current builder must return exactly their rows, row order, key
-order and labels.  The closed window pairs are coded twice, in
-`BracketTable.pairs` and, doubled, in `LeibnizCheck.pairs`; the two lists
-must agree, and with the brackets of `bracket_basis`.
+order and labels.  The closed window pairs are listed once, in
+`BracketTable.pairs`, which the Leibniz checker inherits by extending the
+table with its value generators; the list must agree with the brackets of
+`bracket_basis`.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from svalgebra import AlgebraConfig, SparseMatrix, Window, kernel_basis
+from svalgebra import AlgebraConfig, SparseMatrix, Window, gen, kernel_basis
 from svalgebra.linalg import vanishing_combinations, vec_add_scaled, vec_bump
 from svalgebra.propositions import GridCoords, prop1_solve, prop2_solve, prop3_solve, prop4_solve
 from svalgebra.windows import BracketTable, LeibnizCheck
@@ -232,20 +233,26 @@ def test_vanishing_combinations_by_hand():
 @pytest.mark.parametrize("eps", PARITIES)
 @pytest.mark.parametrize("radius", range(1, 7))
 def test_checker_pairs_are_the_table_pairs(radius, eps):
-    """`LeibnizCheck.pairs` is `BracketTable.pairs` with doubled
-    coefficients, and (0, 0) for a vanishing bracket."""
+    """`LeibnizCheck` is the window's `BracketTable` extended by its value
+    generators: the same numbering, table rows and `pairs`, whose doubled
+    coefficients are those of `bracket_basis`, with (0, 0) for a
+    vanishing bracket."""
     w, cfg = Window(radius), AlgebraConfig(eps)
     table = BracketTable(w, cfg)
-    chk = LeibnizCheck(w, cfg, [{} for _ in range(table.n)])
-    assert chk.pairs == [(a, b, t, int(2 * c)) for a, b, t, c in table.pairs]
     n = table.n
+    past = [gen("M", radius + 1), gen("L", -radius - 2)]
+    chk = LeibnizCheck(w, cfg, [{g: Fraction(1)} for g in past])
+    assert chk.order[:n + 2] == table.order + past and chk.m == n + 2
+    assert chk.twice[:n + 2] == table.twice + [int(2 * g.index) for g in past]
+    assert [chk.table[a * chk.m + b] for a in range(n) for b in range(n)] == table.table
+    assert chk.pairs == table.pairs
     products = window_brackets(w, cfg)
     for a, b, t, c in table.pairs:
-        assert a < b and products[a * n + b] == ((t, c) if c else None)
+        assert a < b and products[a * n + b] == ((t, Fraction(c, 2)) if c else None)
     closed = {(a, b) for a, b, _, _ in table.pairs}
     outside = [
         (a, b) for a in range(n) for b in range(a + 1, n)
         if products[a * n + b] is not None and (a, b) not in closed
     ]
     assert len(closed) + len(outside) == n * (n - 1) // 2
-    assert all(abs(table.twice_index[a] + table.twice_index[b]) > 2 * radius for a, b in outside)
+    assert all(abs(table.twice[a] + table.twice[b]) > 2 * radius for a, b in outside)

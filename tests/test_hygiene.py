@@ -471,19 +471,39 @@ def test_only_structure_reads_the_structure_table():
 
 
 def test_window_tables_read_the_structure_function():
-    """Both integer-position tables read ``structure`` and never build an
-    Element bracket; in ``windows`` only the Lie axiom check, which tests
-    ``bracket_basis`` itself, calls it.  ``BracketTable`` keeps no
-    ``product`` list that no solver reads."""
+    """The one integer-position table, ``BracketTable``, reads
+    ``structure`` and never builds an Element bracket; in ``windows`` only
+    the Lie axiom check, which tests ``bracket_basis`` itself, calls it.
+    ``BracketTable`` keeps no ``product`` list that no solver reads."""
     from svalgebra.windows import BracketTable, Window
     from svalgebra.algebra import AlgebraConfig
 
     source = (PACKAGE / "windows.py").read_text()
-    for table in ("BracketTable.__init__", "LeibnizCheck.__init__"):
-        called = {name for where, name in calls(source) if where == table or where.startswith(table + ".")}
-        assert "structure" in called and "bracket_basis" not in called, table
+    called = {name for where, name in calls(source) if where.startswith("BracketTable.")}
+    assert "structure" in called and "bracket_basis" not in called
     assert callers(source, "bracket_basis") == ["lie_axiom_defects", "lie_axiom_defects"]
     assert not hasattr(BracketTable(Window(2), AlgebraConfig()), "product")
+
+
+def test_one_bracket_table_per_window():
+    """``windows`` reads ``structure`` in one function, ``BracketTable``
+    keeps one inverse-free table (no ``left`` or ``right`` list), and
+    ``LeibnizCheck`` extends it with no numbering or bracket reader of its
+    own: it defines only ``__init__``, ``instance`` and ``element``, and
+    its ``__init__`` reads no structure constant."""
+    from svalgebra.windows import BracketTable, LeibnizCheck, Window
+    from svalgebra.algebra import AlgebraConfig
+
+    source = (PACKAGE / "windows.py").read_text()
+    assert callers(source, "structure") == ["BracketTable._bracket"]
+    table = BracketTable(Window(2), AlgebraConfig())
+    assert not {"left", "right", "twice_index"} & set(vars(table))
+    assert issubclass(LeibnizCheck, BracketTable)
+    (cls,) = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == "LeibnizCheck"]
+    defined = [n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert defined == ["__init__", "instance", "element"]
+    called = {name for where, name in calls(source) if where.startswith("LeibnizCheck.")}
+    assert not called & {"structure", "bracket_basis", "_bracket", "position", "divmod"}
 
 
 def test_dead_helpers_are_gone():

@@ -88,6 +88,24 @@ def test_constructor_refuses_a_stored_zero_before_the_range():
         SparseMatrix(3, [{5: F(1)}, {0: F(0)}])
 
 
+def test_constructor_refuses_a_negative_column_count():
+    with pytest.raises(ValueError, match="column count -3 is negative"):
+        SparseMatrix(-3)
+    assert SparseMatrix(0).col_count == 0
+
+
+@pytest.mark.parametrize(
+    "vector", [{5: F(1)}, {-1: F(1)}, {0: F(1), 2: F(2)}], ids=["past-the-end", "negative", "second-entry"]
+)
+def test_span_refuses_a_column_out_of_range(vector):
+    """`span_basis` makes the constructor's column test, after its entry
+    check, so a basis of Q^2 never holds column 5."""
+    with pytest.raises(ValueError, match="row entry outside column range"):
+        span_basis([{0: F(1)}, vector], 2)
+    with pytest.raises(ZeroDivisionError):
+        span_basis([{**vector, 1: F(0)}], 2)
+
+
 def test_constructor_keeps_rows_as_given():
     assert SparseMatrix(3, [{}]).row_count == 1  # zero rows are legal
     rows = [{}, {2: F(1), 0: F(-1)}]
@@ -466,9 +484,12 @@ def test_reduce_refuses_a_stored_zero_at_a_lead(call):
 
 
 def _raw(col_count, *rows):
-    """A matrix built from the rows as given, not through
-    `SparseMatrix.add_row`, which drops zero entries."""
-    return SparseMatrix(col_count, rows=list(rows))
+    """A matrix with the rows appended to ``rows`` as given, after the
+    constructor's check and not through `SparseMatrix.add_row`, which drops
+    zero entries, so the solver called on it meets them."""
+    m = SparseMatrix(col_count)
+    m.rows.extend(rows)
+    return m
 
 
 @pytest.mark.parametrize(
@@ -494,6 +515,37 @@ def test_a_stored_zero_anywhere_is_refused(call):
     which rows happen to be read."""
     with pytest.raises(ZeroDivisionError):
         call()
+
+
+_SOLVERS = {
+    "kernel": kernel_basis,
+    "rank": rank,
+    "solve": lambda m: solve_linear(m, [F(0)] * m.row_count),
+    "modp": kernel_dimension_modp,
+}
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ({1: 0.5, 2: F(1)}, TypeError),
+        ({0: F(1), 1: F(0), 2: F(1)}, ZeroDivisionError),
+        ({2: F(0)}, ZeroDivisionError),
+        ({2: 0.5}, TypeError),
+    ],
+    ids=["float-live", "zero-live", "zero-forcing", "float-forcing"],
+)
+def test_every_solver_refuses_an_escaped_row_alike(row, error, solver):
+    """A row appended after construction escapes the constructor's check.
+    Each solver checks the entries it reads, so all four raise exact's
+    TypeError for a float and ZeroDivisionError for a stored zero, in a
+    live row as at a forcing entry."""
+    m = SparseMatrix(3, [{0: F(1), 1: F(1)}])
+    m.rows.append(row)
+    match = "a scalar is an int or a Fraction" if error is TypeError else "(stores a|stored) zero"
+    with pytest.raises(error, match=match):
+        _SOLVERS[solver](m)
 
 
 def test_forcing_chain_settles_without_recursion():

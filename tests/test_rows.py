@@ -15,7 +15,7 @@ import pytest
 from svalgebra import AlgebraConfig, Window, bracket_basis, gen
 from svalgebra.biderivations import PairCoords, identity1_rows, identity2_rows
 from svalgebra.operators import OperatorCoords, derivation_constraint_matrix
-from svalgebra.windows import BracketTable
+from svalgebra.windows import OUTSIDE, BracketTable
 
 PARITIES = (Fraction(0), Fraction(1, 2))
 
@@ -169,31 +169,32 @@ def test_identity1_rows_are_transposed_identity2_rows(eps):
 
 @pytest.mark.parametrize("eps", PARITIES)
 def test_bracket_table_matches_brackets(eps):
-    """``left``, ``right`` and ``pairs`` at radii 1 to 6 hold the brackets
-    ``bracket_basis`` gives on window positions, in ascending order."""
+    """The numbering, ``table`` and ``pairs`` at radii 1 to 6 hold the
+    brackets ``bracket_basis`` gives on window positions, with doubled int
+    coefficients, and ``pairs`` is ascending."""
     cfg = AlgebraConfig(eps)
     for radius in range(1, 7):
         w = Window(radius)
         gens = w.generators(cfg)
         t = BracketTable(w, cfg)
-        n = t.n
-        left, right, pairs = [[] for _ in range(n * n)], [[] for _ in range(n * n)], []
+        twice = [int(2 * g.index) for g in gens]
+        assert (t.order, t.n, t.m, t.twice) == (gens, len(gens), len(gens), twice)
+        assert t.at == {(g.family, d): i for i, (g, d) in enumerate(zip(gens, twice))}
+        table, pairs = [], []
         for a, ga in enumerate(gens):
             for b, gb in enumerate(gens):
                 br = bracket_basis(ga, gb, cfg)
                 if not br.terms:
+                    table.append(None)
                     if a < b:
-                        pairs.append((a, b, 0, Fraction(0)))
+                        pairs.append((a, b, 0, 0))
                     continue
                 ((g, c),) = br.terms.items()
-                if w.contains(g):
-                    target = gens.index(g)
-                    assert (b, c) in t.left[a * n + target]
-                    assert (a, c) in t.right[b * n + target]
-                    left[a * n + target].append((b, c))
-                    right[b * n + target].append((a, c))
-                    if a < b:
-                        pairs.append((a, b, target, c))
-        assert (t.left, t.right, t.pairs) == (left, right, pairs)
-        assert all(type(c) is Fraction for _, _, _, c in t.pairs)
-        assert sum(len(lst) for lst in t.left) == sum(len(lst) for lst in t.right)
+                assert (2 * c).denominator == 1
+                target = gens.index(g) if w.contains(g) else OUTSIDE
+                table.append((target, int(2 * c)))
+                if a < b and target != OUTSIDE:
+                    pairs.append((a, b, target, int(2 * c)))
+        assert (t.table, t.pairs) == (table, pairs)
+        assert all(type(c) is int for _, _, _, c in t.pairs)
+        assert all(type(e[1]) is int for e in t.table if e is not None)
