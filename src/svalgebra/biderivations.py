@@ -39,7 +39,6 @@ from .algebra import (
     Element,
     GeneratorId,
     Scalar,
-    bracket,
     bracket_basis,
     exact,
     format_rational,
@@ -52,12 +51,11 @@ from .linalg import (
     vanishing_combinations,
 )
 from .operators import (
-    OUTER_DERIVATIONS,
     DecompositionError,
+    DerivationDecomposition,
     LinearOperator,
     decompose_derivation,
     derivation_rows,
-    outer_image,
 )
 from .windows import BracketTable, DefectReport, LeibnizCheck, Window, WindowCoords
 
@@ -393,11 +391,9 @@ class BiderivationDecomposition:
     theta: Tuple[Dict[GeneratorId, Fraction], ...]
 
     def reassemble(self, x: GeneratorId, y: GeneratorId, cfg: AlgebraConfig) -> Element:
-        """rho1(x)D1(y) + rho2(x)D2(y) + rho3(x)D3(y) + [phi(x), y]."""
-        out = bracket(self.phi.apply_basis(x), Element.monomial(y), cfg)
-        for i, d in enumerate(OUTER_DERIVATIONS):
-            out = out + outer_image(d, y).scaled(self.rho[i].get(x, Fraction(0)))
-        return out
+        """The value at y of the slice-x decomposition (phi(x), rho1(x), rho2(x), rho3(x))."""
+        outer = (r.get(x, Fraction(0)) for r in self.rho)
+        return DerivationDecomposition(self.phi.apply_basis(x), *outer).value(y, cfg)
 
 
 def decompose_biderivation(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> BiderivationDecomposition:
@@ -406,8 +402,10 @@ def decompose_biderivation(f: BilinearMap, w: Window, cfg: AlgebraConfig) -> Bid
     Boundary slices are excluded: their inner parts can need generators
     outside the window, so only interior slices decompose faithfully.
     Raises DecompositionError, naming the first slice that is not of the
-    derivation shape, when f is not a biderivation on this window.
+    derivation shape, when f is not a biderivation on this window.  Like
+    ``decompose_derivation`` it needs radius 2.
     """
+    w.require(2, "biderivation decomposition")
     gens = w.generators(cfg)
     interior = w.interior_generators(cfg)
     phi_action: Dict[GeneratorId, Element] = {}

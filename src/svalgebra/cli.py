@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-derivation", _cmd_check_derivation, "Leibniz check of an operator file", file=True)
     add("solve-derivations", _cmd_solve_derivations, "kernel of the derivation system", min_window=3)
     add("decompose-derivation", _cmd_decompose_derivation, "split an operator file into the classified shape",
-        file=True)
+        min_window=2, file=True)
     add("check-biderivation", _cmd_check_biderivation, "identity check of a tensor file", file=True)
     add("solve-biderivations", _cmd_solve_biderivations, "kernel of the biderivation system", min_window=3)
     add("match-form", _cmd_match_form, "fit a tensor file to the classified shape", min_window=2, file=True)

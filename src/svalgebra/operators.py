@@ -14,8 +14,9 @@ finite window four things live here:
     compared (``linalg.KernelComparison``) against the span of the known
     derivations on its interior; its rows (``derivation_rows``) also give
     the identity (2) rows of every biderivation slice,
-  * the decomposition of a derivation as ad x + a.D1 + b.D2 + c.D3, whose
-    columns are the images ``bracket_basis(x, g)`` and ``outer_image``.
+  * the classified shape ad x + a.D1 + b.D2 + c.D3, written once as
+    ``DerivationDecomposition.value``; the predicted span and the
+    decomposition (radius 2 and up) read it through its unit forms.
 
 Truncation discipline: a constraint row is emitted for a pair (g1, g2) and
 an output coordinate h only when every generator the identity needs at
@@ -42,7 +43,6 @@ from .algebra import (
     Element,
     GeneratorId,
     Scalar,
-    bracket,
     bracket_basis,
     gen,
 )
@@ -138,10 +138,7 @@ def builtin_derivation(which: str, w: Window, cfg: AlgebraConfig) -> LinearOpera
 
 
 def inner_derivation(x: Element, w: Window, cfg: AlgebraConfig) -> LinearOperator:
-    return LinearOperator(
-        {g: bracket(x, Element.monomial(g), cfg) for g in w.generators(cfg)},
-        f"ad({x})",
-    )
+    return DerivationDecomposition(x).realize(w, cfg, f"ad({x})")
 
 
 def derivation_defect(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> DefectReport:
@@ -204,15 +201,9 @@ def derivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[SparseM
 
 
 def predicted_derivation_operators(w: Window, cfg: AlgebraConfig) -> List[LinearOperator]:
-    """Spanning set of the classified derivation space on the window:
-    every ad g with g != M_0 (M_0 is central), plus D1, D2, D3."""
-    ops = [
-        inner_derivation(Element.monomial(g), w, cfg)
-        for g in w.generators(cfg)
-        if g != M0
-    ]
-    ops.extend(builtin_derivation(d, w, cfg) for d in OUTER_DERIVATIONS)
-    return ops
+    """Spanning set of the classified derivation space on the window: the
+    unit forms (``_unit_forms``), realized under their labels."""
+    return [form.realize(w, cfg, label) for label, form in _unit_forms(w, cfg)]
 
 
 def classify_derivations(w: Window, cfg: AlgebraConfig) -> KernelComparison:
@@ -226,22 +217,38 @@ def classify_derivations(w: Window, cfg: AlgebraConfig) -> KernelComparison:
 class DerivationDecomposition:
     """The classified shape ad(inner_part) + a*D1 + b*D2 + c*D3.
 
-    inner_part carries no M_0 term: ad M_0 = 0, so the coefficient is
-    fixed to zero to make the decomposition unique.
+    ``value`` is its one closed form, read by ``realize``, the predicted
+    span, ``decompose_derivation`` and the slice reassembly.  inner_part
+    carries no M_0 term: ad M_0 = 0, so the coefficient is fixed to zero
+    to make the decomposition unique.
     """
 
     inner_part: Element
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
+    c: Fraction = Fraction(0)
 
-    def realize(self, w: Window, cfg: AlgebraConfig) -> LinearOperator:
-        op = inner_derivation(self.inner_part, w, cfg)
-        op = op + builtin_derivation("D1", w, cfg).scaled(self.a)
-        op = op + builtin_derivation("D2", w, cfg).scaled(self.b)
-        op = op + builtin_derivation("D3", w, cfg).scaled(self.c)
-        op.label = "decomposition"
-        return op
+    def value(self, g: GeneratorId, cfg: AlgebraConfig) -> Element:
+        """[inner_part, g] + a*D1(g) + b*D2(g) + c*D3(g); zero coefficients are skipped."""
+        out = ZERO
+        for x, k in self.inner_part.terms.items():
+            out = out + bracket_basis(x, g, cfg).scaled(k)
+        for d, k in zip(OUTER_DERIVATIONS, (self.a, self.b, self.c)):
+            if k:
+                out = out + outer_image(d, g).scaled(k)
+        return out
+
+    def realize(self, w: Window, cfg: AlgebraConfig, label: str = "decomposition") -> LinearOperator:
+        return LinearOperator({g: self.value(g, cfg) for g in w.generators(cfg)}, label)
+
+
+def _unit_forms(w: Window, cfg: AlgebraConfig) -> List[Tuple[str, DerivationDecomposition]]:
+    """The classified spanning set as labelled unit forms: ad g for every
+    window g != M_0 (M_0 is central) in canonical order, then D1, D2, D3."""
+    forms = [(f"ad({x})", DerivationDecomposition(x))
+             for x in (Element.monomial(g) for g in w.generators(cfg) if g != M0)]
+    forms += [(d, DerivationDecomposition(ZERO, **{k: Fraction(1)})) for d, k in zip(OUTER_DERIVATIONS, "abc")]
+    return forms
 
 
 def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> DerivationDecomposition:
@@ -249,32 +256,31 @@ def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> D
 
     x is window-supported with no M_0 term.  Interior generators carry the
     equations because boundary images of a window-supported ad x reach
-    outside the window.  Raises DecompositionError when the system is
-    inconsistent (op is not of the classified shape on this window).
+    outside the window; column j holds the values of the j-th unit form.
+    From radius 2 the columns are independent, so the result is unique.
+    Raises DecompositionError when the system is inconsistent (op is not
+    of the classified shape on this window).
     """
-    xs = [g for g in w.generators(cfg) if g != M0]
+    w.require(2, "derivation decomposition")
+    forms = [form for _, form in _unit_forms(w, cfg)]
     equations: List[SparseVec] = []
     rhs: List[Fraction] = []
     for g in w.interior_generators(cfg):
         target = op.apply_basis(g)
         rows: Dict[GeneratorId, SparseVec] = {}
-        # column j is the image of g under ad xs[j], then under D1, D2, D3
-        columns = [bracket_basis(x, g, cfg) for x in xs]
-        columns += [outer_image(d, g) for d in OUTER_DERIVATIONS]
-        for j, img in enumerate(columns):
-            for h, c in img.terms.items():
+        for j, form in enumerate(forms):
+            for h, c in form.value(g, cfg).terms.items():
                 vec_bump(rows.setdefault(h, {}), j, c)
         for h in target.terms:
             rows.setdefault(h, {})
         for h in sorted(rows, key=GeneratorId.sort_key):
             equations.append(rows[h])
             rhs.append(target.coefficient(h))
-    m = SparseMatrix(len(xs) + len(OUTER_DERIVATIONS), equations)
-    sol = solve_linear(m, rhs)
+    sol = solve_linear(SparseMatrix(len(forms), equations), rhs)
     if sol is None:
         raise DecompositionError(
             "operator does not match ad x + a*D1 + b*D2 + c*D3 on this window"
         )
-    x = Element({gj: sol[j] for j, gj in enumerate(xs) if j in sol})
-    a, b, c = (sol.get(j, Fraction(0)) for j in range(len(xs), m.col_count))
-    return DerivationDecomposition(inner_part=x, a=a, b=b, c=c)
+    coeffs = [sol.get(j, Fraction(0)) for j in range(len(forms))]
+    x = Element({g: k for form, k in zip(forms, coeffs) for g in form.inner_part.terms})
+    return DerivationDecomposition(x, *coeffs[-len(OUTER_DERIVATIONS):])

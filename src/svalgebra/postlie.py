@@ -55,6 +55,7 @@ from .algebra import (
     bracket_basis,
     format_element,
     gen,
+    validate_generator,
 )
 from .biderivations import (
     BiderivationForm,
@@ -159,7 +160,14 @@ class AxiomCheck:
             return i
 
         def value(a: int, b: int) -> List[Tuple[int, Fraction]]:
-            return [(position(h), c) for h, c in read(order[a], order[b]).terms.items()]
+            try:
+                v = read(order[a], order[b])
+            except KeyError:
+                # a read the product cannot answer off the lattice is a domain error
+                validate_generator(order[a], cfg)
+                validate_generator(order[b], cfg)
+                raise
+            return [(position(h), c) for h, c in v.terms.items()]
 
         def bracket_entry(h: int, g: int) -> Optional[Tuple[int, Fraction]]:
             terms = bracket_basis(order[g], order[h], cfg).terms
@@ -289,7 +297,10 @@ def postlie_axiom_defects(
     Axiom-5 runs on all unordered pairs (the diagonal is trivially
     symmetric), axioms 6 and 7 on all evaluable triples; each violation is
     tagged with its axiom.  Defects are full elements, not projections.
-    Raises KeyError when the product is undefined on a pair it reads.
+    Raises KeyError when the product is undefined on a pair it reads, and
+    ``DomainError`` instead when that pair holds a generator off its
+    lattice, as a value term within the radius can make it.  A map
+    defined past the window is read there.
     """
     chk = AxiomCheck(p, w, cfg)
     gens = chk.read_window()

@@ -19,8 +19,11 @@ from svalgebra import (
     chi_omega,
     classify_biderivations,
     classify_derivations,
+    decompose_biderivation,
+    decompose_derivation,
     gen,
     match_form,
+    operator_from_action,
     prop1_solve,
     prop2_solve,
     prop3_solve,
@@ -116,6 +119,9 @@ GUARDS = [
     (prop4_solve, 3, "proposition 4"),
     (lambda w: verify_triviality_theorem(w, CFG0), 5, "triviality sweep"),
     (lambda w: solve_postlie_window(w, CFG0), 3, "brute post-Lie solve"),
+    (lambda w: decompose_derivation(operator_from_action({}, w, CFG0), w, CFG0), 2, "derivation decomposition"),
+    (lambda w: decompose_biderivation(realize(BiderivationForm(1, {}), w, CFG0), w, CFG0), 2,
+     "biderivation decomposition"),
 ]
 
 
@@ -154,6 +160,8 @@ def min_window(command, *args):
         ("solve-biderivations", (), lambda w: classify_biderivations(w, CFG0)),
         ("props", (), solve_all_propositions),
         ("match-form", ("file",), lambda w: match_form(realize(BiderivationForm(1, {}), w, CFG0), w, CFG0)),
+        ("decompose-derivation", ("file",),
+         lambda w: decompose_derivation(operator_from_action({}, w, CFG0), w, CFG0)),
     ],
 )
 def test_cli_minimum_is_the_library_minimum(capsys, command, args, library):
@@ -176,7 +184,7 @@ def test_postlie_minimum_is_the_cli_own():
 
 def test_subcommands_without_a_minimum():
     for command, args in [("bracket", ("X", "Y")), ("jacobi", ()), ("check-derivation", ("f",)),
-                          ("decompose-derivation", ("f",)), ("check-biderivation", ("f",))]:
+                          ("check-biderivation", ("f",))]:
         assert min_window(command, *args) == 1
 
 

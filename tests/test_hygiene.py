@@ -7,8 +7,9 @@ character cursor and keeps no state between calls, solvers guard their
 radius only through ``Window.require``, the command line keeps one
 subcommand table and reads no argv text with Python's own number grammar,
 each algebra rule (the structure constants, the lattice check and its
-error, the sweep verdict) is written once, and no source line is longer
-than 114 characters.
+error, the sweep verdict) is written once, the classified derivation shape
+is composed in one function, and no source line is longer than 114
+characters.
 
 Standard-library AST scans.  A name counts as used only where the code
 references it (a ``Name`` node, which includes annotations and the base of
@@ -504,6 +505,65 @@ def test_one_bracket_table_per_window():
     assert defined == ["__init__", "instance", "element"]
     called = {name for where, name in calls(source) if where.startswith("LeibnizCheck.")}
     assert not called & {"structure", "bracket_basis", "_bracket", "position", "divmod"}
+
+
+CLOSED_FORM_READERS = {
+    "operators": ["DerivationDecomposition.realize", "predicted_derivation_operators", "decompose_derivation"],
+    "biderivations": ["BiderivationDecomposition.reassemble"],
+}
+
+
+def test_one_closed_form_for_the_classified_derivations(monkeypatch):
+    """``DerivationDecomposition.value`` is the one function of ``operators``
+    and ``biderivations`` that combines a bracket with ``outer_image``.
+    ``realize``, ``predicted_derivation_operators``, ``decompose_derivation``
+    and ``reassemble`` reach it when they run, and none of them calls
+    ``outer_image``, ``bracket`` or ``bracket_basis`` itself."""
+    from fractions import Fraction
+
+    from svalgebra import AlgebraConfig, BiderivationForm, Element, Window, gen
+    from svalgebra.biderivations import decompose_biderivation, realize
+    from svalgebra.operators import (
+        DerivationDecomposition,
+        builtin_derivation,
+        decompose_derivation,
+        predicted_derivation_operators,
+    )
+
+    shape = {"outer_image", "bracket", "bracket_basis"}
+    combining = []
+    for module, readers in CLOSED_FORM_READERS.items():
+        found = calls((PACKAGE / f"{module}.py").read_text())
+        places = {where for where, _ in found}
+        for where in places:
+            names = {called for place, called in found if place == where}
+            if "outer_image" in names and names & {"bracket", "bracket_basis"}:
+                combining.append(f"{module}.{where}")
+        for reader in readers:
+            assert reader in places, reader
+            names = {called for where, called in found if where == reader or where.startswith(reader + ".")}
+            assert not names & shape, reader
+    assert combining == ["operators.DerivationDecomposition.value"]
+
+    value, seen = DerivationDecomposition.value, []
+
+    def counted(self, g, cfg):
+        seen.append(g)
+        return value(self, g, cfg)
+
+    monkeypatch.setattr(DerivationDecomposition, "value", counted)
+    cfg, w = AlgebraConfig(Fraction(0)), Window(2)
+    dec = decompose_biderivation(realize(BiderivationForm(1, {}), w, cfg), w, cfg)
+    runs = {
+        "realize": lambda: DerivationDecomposition(Element.monomial(gen("L", 1))).realize(w, cfg),
+        "predicted_derivation_operators": lambda: predicted_derivation_operators(w, cfg),
+        "decompose_derivation": lambda: decompose_derivation(builtin_derivation("D1", w, cfg), w, cfg),
+        "reassemble": lambda: dec.reassemble(gen("L", 0), gen("L", 1), cfg),
+    }
+    for name, run in runs.items():
+        seen.clear()
+        run()
+        assert seen, name
 
 
 def test_dead_helpers_are_gone():

@@ -21,7 +21,7 @@ from svalgebra import (
     operator_from_action,
     predicted_derivation_operators,
 )
-from svalgebra.linalg import SparseMatrix, kernel_dimension_modp, solve_linear, vec_bump
+from svalgebra.linalg import SparseMatrix, kernel_dimension_modp, rank, solve_linear, vec_bump
 from svalgebra.operators import DerivationDecomposition
 
 CFG0 = AlgebraConfig(Fraction(0))
@@ -230,3 +230,85 @@ def test_decomposition_matches_reference(radius, eps):
         assert decompose_derivation(op, w, cfg) == want
         outcomes.add("decomposed")
     assert outcomes == {"error", "decomposed"}
+
+
+# -- the one closed form, against the code it replaced -----------------------
+
+
+def _reference_realize(dec, w, cfg):
+    """``DerivationDecomposition.realize`` as it was: the inner derivation
+    plus each builtin derivation scaled by its coefficient."""
+    op = inner_derivation(dec.inner_part, w, cfg)
+    for d, k in zip(("D1", "D2", "D3"), (dec.a, dec.b, dec.c)):
+        op = op + builtin_derivation(d, w, cfg).scaled(k)
+    op.label = "decomposition"
+    return op
+
+
+def _reference_predicted(w, cfg):
+    """``predicted_derivation_operators`` as it was: ad g for every window
+    g but M_0, then D1, D2, D3."""
+    ops = [inner_derivation(Element.monomial(g), w, cfg) for g in w.generators(cfg) if g != gen("M", 0)]
+    return ops + [builtin_derivation(d, w, cfg) for d in ("D1", "D2", "D3")]
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 2)], ids=["eps0", "eps_half"])
+@pytest.mark.parametrize("radius", [2, 3, 4, 5])
+def test_value_is_the_realized_shape(radius, eps):
+    """Seeded forms with M_0 terms and zero coefficients: ``value`` at every
+    window generator is the image of the operator the old ``realize``
+    built, and ``realize`` is that operator, label included."""
+    cfg = AlgebraConfig(eps)
+    w = Window(radius)
+    gens = w.generators(cfg)
+    rng = random.Random(9100 + radius + int(2 * eps))
+    for _ in range(8):
+        x = Element({g: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for g in rng.sample(gens, 3)})
+        x = x + Element.monomial(gen("M", 0), rng.randint(1, 5))
+        a, b, c = (Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3))
+        dec = DerivationDecomposition(x, a, b, c)
+        want = _reference_realize(dec, w, cfg)
+        assert [dec.value(g, cfg) for g in gens] == [want.apply_basis(g) for g in gens]
+        got = dec.realize(w, cfg)
+        assert (got.label, got.action) == (want.label, want.action)
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 2)], ids=["eps0", "eps_half"])
+def test_predicted_operators_are_the_unit_forms(eps):
+    """Radii 3 to 8: the same operators, in the same order, with the same
+    labels and actions (generator order and term order included)."""
+    cfg = AlgebraConfig(eps)
+    for radius in range(3, 9):
+        w = Window(radius)
+        got, want = predicted_derivation_operators(w, cfg), _reference_predicted(w, cfg)
+        labels = [op.label for op in got]
+        assert labels == [op.label for op in want]
+        assert labels[0] == f"ad(1*L[{-radius}])" and labels[-3:] == ["D1", "D2", "D3"]
+        for g_op, w_op in zip(got, want):
+            assert list(g_op.action) == list(w_op.action)
+            assert [list(v.terms.items()) for v in g_op.action.values()] == [
+                list(v.terms.items()) for v in w_op.action.values()
+            ]
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 2)], ids=["eps0", "eps_half"])
+def test_decomposition_system_has_full_column_rank_from_radius_2(eps):
+    """The unit forms' values on the interior generators, the columns of
+    the decomposition system, are independent at radii 2 to 6, so the
+    decomposition there is unique.  At radius 1 they span 8 dimensions of
+    11 (epsilon 0) or 10 (epsilon 1/2), which is why radius 1 is refused."""
+    cfg = AlgebraConfig(eps)
+    for radius in range(1, 7):
+        w = Window(radius)
+        ops = predicted_derivation_operators(w, cfg)
+        index = {}
+        columns = [
+            {index.setdefault((g, h), len(index)): c for g in w.interior_generators(cfg)
+             for h, c in op.apply_basis(g).terms.items()}
+            for op in ops
+        ]
+        want = len(ops) if radius >= 2 else 8
+        assert rank(SparseMatrix(len(index), columns)) == want, radius
+    assert len(predicted_derivation_operators(Window(1), cfg)) == (11 if eps == 0 else 10)
+    with pytest.raises(ValueError, match=r"^derivation decomposition needs window radius >= 2$"):
+        decompose_derivation(operator_from_action({}, Window(1), cfg), Window(1), cfg)

@@ -16,6 +16,7 @@ from svalgebra import (
     AlgebraConfig,
     BiderivationForm,
     DefectReport,
+    DomainError,
     Element,
     PostLieAxiomError,
     Window,
@@ -31,6 +32,7 @@ from svalgebra import (
     realize,
     solve_postlie_window,
     triviality_witness,
+    validate_generator,
     verify_triviality_theorem,
 )
 from svalgebra import postlie
@@ -157,10 +159,8 @@ class TestFormReplayMatchesRealizedMap:
     @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
     def test_outside_inputs_raise_the_same_key_error(self, cfg):
         w = Window(6)
-        off_lattice = gen("Y", cfg.epsilon + Fraction(1, 2))
         cases = [
             (AXIOM_COMMUTATIVITY, (gen("L", 7), gen("L", 1))),
-            (AXIOM_COMMUTATIVITY, (off_lattice, gen("L", 1))),
             (AXIOM_WEIGHTED_LEIBNIZ, (gen("L", 7), gen("L", -1), gen("L", 0))),
             (AXIOM_BRACKET_DERIVATION, (gen("L", 7), gen("L", 1), gen("L", 2))),
         ]
@@ -173,6 +173,19 @@ class TestFormReplayMatchesRealizedMap:
                     axiom_defect(form, axiom, inputs, w, cfg)
                 assert str(got.value) == str(want.value)
                 assert "undefined on" in str(got.value)
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps_half"])
+    def test_off_lattice_inputs_raise_the_same_domain_error(self, cfg):
+        # a read neither product can answer, at a generator off its lattice
+        w = Window(6)
+        off_lattice = gen("Y", cfg.epsilon + Fraction(1, 2))
+        for form in (BiderivationForm(Fraction(1, 2), {-1: 3}), BiderivationForm(0, {})):
+            f = realize(form, w, cfg)
+            for p in (f, form):
+                with pytest.raises(DomainError) as got:
+                    axiom_defect(p, AXIOM_COMMUTATIVITY, (off_lattice, gen("L", 1)), w, cfg)
+                want = f"index {off_lattice.index} invalid for family Y at epsilon={cfg.epsilon}"
+                assert str(got.value) == want
 
 
 class TestWitnesses:
@@ -464,8 +477,23 @@ def _axiom7_defect(f, x, y, z, w, cfg):
     return left - right
 
 
+def _lattice_read(read, cfg):
+    """``read``, except that a pair it cannot answer raises DomainError when
+    it holds a generator off its lattice, as ``AxiomCheck`` reads values."""
+
+    def value(a, b):
+        try:
+            return read(a, b)
+        except KeyError:
+            validate_generator(a, cfg)
+            validate_generator(b, cfg)
+            raise
+
+    return value
+
+
 def _reference_axiom_defect(p, axiom, inputs, w, cfg):
-    f = _product_values(p, w, cfg)
+    f = _lattice_read(_product_values(p, w, cfg), cfg)
     if axiom == AXIOM_COMMUTATIVITY:
         a, b = inputs
         return _axiom5_defect(f, a, b)
@@ -479,7 +507,7 @@ def _reference_axiom_defect(p, axiom, inputs, w, cfg):
 
 
 def _reference_postlie_axiom_defects(p, w, cfg, max_recorded=MAX_RECORDED):
-    f = materialize_product(p, w, cfg).value
+    f = _lattice_read(materialize_product(p, w, cfg).value, cfg)
     gens = w.generators(cfg)
     for a in gens:
         for b in gens:
@@ -523,11 +551,11 @@ def _reference_postlie_axiom_defects(p, w, cfg, max_recorded=MAX_RECORDED):
 
 
 def _outcome(call, *args):
-    """A call's result, or its KeyError as ("KeyError", message)."""
+    """A call's result, or its KeyError or DomainError as (class name, message)."""
     try:
         return call(*args)
-    except KeyError as exc:
-        return ("KeyError", str(exc))
+    except (KeyError, DomainError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def assert_same_axiom_report(p, w, cfg, max_recorded=MAX_RECORDED):
@@ -658,14 +686,19 @@ class TestOffLatticeBrackets:
         assert d.coefficient(gen("Y", Fraction(29, 7))) == 3 * Fraction(-37, 14)
 
     def test_inside_the_radius_replays_exactly(self):
-        # -[Y[1/7], L[2]] = 6/7 Y[15/7]; the full check reads f(x, Y[1/7])
-        # and so raises the map's KeyError, as it always did
+        # -[Y[1/7], L[2]] = 6/7 Y[15/7]; the full check reads f(x, Y[1/7]),
+        # which the map cannot answer off the lattice: a DomainError, so a
+        # ValueError, as biderivation_defects raises for the same map
         w = Window(3)
         f = bilinear_map_on_window({(gen("L", 1), gen("L", 1)): Element({gen("Y", Fraction(1, 7)): 1})}, w, CFG0)
         d = assert_same_instance(f, AXIOM_BRACKET_DERIVATION, (gen("L", 1), gen("L", 1), gen("L", 2)), w, CFG0)
         assert d.coefficient(gen("Y", Fraction(15, 7))) == Fraction(6, 7)
-        got = assert_same_axiom_report(f, w, CFG0)
-        assert got is None  # both raised the same KeyError
+        assert assert_same_axiom_report(f, w, CFG0) is None  # both raised the same error
+        want = ("DomainError", "index 1/7 invalid for family Y at epsilon=0")
+        assert _outcome(postlie_axiom_defects, f, w, CFG0) == want
+        assert _outcome(biderivation_from_postlie, f, w, CFG0) == want
+        with pytest.raises(ValueError):
+            biderivation_defects(f, w, CFG0)
 
     def test_a_map_defined_past_the_window_is_read_there(self):
         # extra entries (g, Y[1/3]) make the off-lattice reads defined
