@@ -49,7 +49,9 @@ The package hands every system to `SparseMatrix` as one row list;
 `KernelComparison` is the one test every classification here goes
 through: the exact kernel of a window's constraint matrix against the span
 of the classified family, compared on the coordinates the window cannot
-clip.
+clip.  A system solved in fewer unknowns, as the biderivations are through
+the window derivation kernel, hands it the lift of its kernel to the
+window's columns.
 
 The independent cross-check for kernel dimensions, `kernel_dimension_modp`,
 is a sparse integer elimination that decides the rank over three primes in
@@ -528,7 +530,8 @@ def project_columns(v: SparseVec, cols: Set[int]) -> SparseVec:
 class KernelComparison:
     """Exact kernel of a constraint matrix versus a classified spanning set.
 
-    ``coords`` is the column layout of the matrix: it has ``col_count`` and
+    ``coords`` is the column layout of the kernel, which is that of the
+    matrix unless ``of`` was given a lift: it has ``col_count`` and
     ``interior_columns()``, the coordinates where window encodings of
     genuine solutions are exact.  The classification is confirmed on the
     window when every predicted vector lies in the kernel and the kernel
@@ -548,10 +551,25 @@ class KernelComparison:
     mutual_membership: Tuple[bool, bool]
 
     @classmethod
-    def of(cls, coords: Any, m: SparseMatrix, predicted: List[SparseVec], **extra: Any):
+    def of(
+        cls,
+        coords: Any,
+        m: SparseMatrix,
+        predicted: List[SparseVec],
+        lift: Optional[Callable[[Sequence[SparseVec]], Iterable[SparseVec]]] = None,
+        **extra: Any,
+    ):
         """Solve m exactly and compare its kernel with the span of predicted;
-        ``extra`` fills the fields a subclass adds."""
+        ``extra`` fills the fields a subclass adds.
+
+        When m is solved in other unknowns than ``coords``' columns, ``lift``
+        maps its kernel vectors to those columns, injectively; the images
+        are re-reduced by `span_basis`, so ``kernel`` is the canonical basis
+        of the lifted kernel, as if the system had been solved on ``coords``.
+        """
         kernel = kernel_basis(m)
+        if lift is not None:
+            kernel = span_basis(lift(kernel.vectors), coords.col_count)
         cols = coords.interior_columns()
         ik = span_basis((project_columns(v, cols) for v in kernel.vectors), coords.col_count)
         ip = span_basis((project_columns(v, cols) for v in predicted), coords.col_count)

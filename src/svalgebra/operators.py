@@ -251,36 +251,59 @@ def _unit_forms(w: Window, cfg: AlgebraConfig) -> List[Tuple[str, DerivationDeco
     return forms
 
 
+class UnitFormRows:
+    """The equations ``decompose_derivation`` solves, less their right-hand
+    sides, built once per window: for each interior generator g, in
+    canonical order, the rows h -> {j: h coefficient of unit form j at g}
+    (``_unit_forms``), h in canonical order.  Interior generators carry the
+    equations because boundary images of a window-supported ad x reach
+    outside the window.  ``decompose`` fits any number of operators, such
+    as every slice of a biderivation, against this one build.
+    """
+
+    def __init__(self, w: Window, cfg: AlgebraConfig):
+        self.forms = [form for _, form in _unit_forms(w, cfg)]
+        self.rows: List[Tuple[GeneratorId, Dict[GeneratorId, SparseVec]]] = []
+        for g in w.interior_generators(cfg):
+            rows: Dict[GeneratorId, SparseVec] = {}
+            for j, form in enumerate(self.forms):
+                for h, c in form.value(g, cfg).terms.items():
+                    vec_bump(rows.setdefault(h, {}), j, c)
+            self.rows.append((g, {h: rows[h] for h in sorted(rows, key=GeneratorId.sort_key)}))
+
+    def decompose(self, op: LinearOperator) -> DerivationDecomposition:
+        """Solve op = ad x + a*D1 + b*D2 + c*D3 on the interior generators;
+        see ``decompose_derivation``."""
+        equations: List[SparseVec] = []
+        rhs: List[Fraction] = []
+        for g, rows in self.rows:
+            target = op.apply_basis(g)
+            for h, row in rows.items():
+                equations.append(row)
+                rhs.append(target.coefficient(h))
+            for h, c in target.terms.items():
+                if h not in rows:  # no unit form reaches h: the equation 0 = c
+                    equations.append({})
+                    rhs.append(c)
+        forms = self.forms
+        sol = solve_linear(SparseMatrix(len(forms), equations), rhs)
+        if sol is None:
+            raise DecompositionError(
+                "operator does not match ad x + a*D1 + b*D2 + c*D3 on this window"
+            )
+        coeffs = [sol.get(j, Fraction(0)) for j in range(len(forms))]
+        x = Element({g: k for form, k in zip(forms, coeffs) for g in form.inner_part.terms})
+        return DerivationDecomposition(x, *coeffs[-len(OUTER_DERIVATIONS):])
+
+
 def decompose_derivation(op: LinearOperator, w: Window, cfg: AlgebraConfig) -> DerivationDecomposition:
     """Solve op = ad x + a*D1 + b*D2 + c*D3 exactly on interior generators.
 
-    x is window-supported with no M_0 term.  Interior generators carry the
-    equations because boundary images of a window-supported ad x reach
-    outside the window; column j holds the values of the j-th unit form.
-    From radius 2 the columns are independent, so the result is unique.
-    Raises DecompositionError when the system is inconsistent (op is not
-    of the classified shape on this window).
+    x is window-supported with no M_0 term.  The equations are the
+    window's ``UnitFormRows``: column j holds the values of the j-th unit
+    form.  From radius 2 the columns are independent, so the result is
+    unique.  Raises DecompositionError when the system is inconsistent
+    (op is not of the classified shape on this window).
     """
     w.require(2, "derivation decomposition")
-    forms = [form for _, form in _unit_forms(w, cfg)]
-    equations: List[SparseVec] = []
-    rhs: List[Fraction] = []
-    for g in w.interior_generators(cfg):
-        target = op.apply_basis(g)
-        rows: Dict[GeneratorId, SparseVec] = {}
-        for j, form in enumerate(forms):
-            for h, c in form.value(g, cfg).terms.items():
-                vec_bump(rows.setdefault(h, {}), j, c)
-        for h in target.terms:
-            rows.setdefault(h, {})
-        for h in sorted(rows, key=GeneratorId.sort_key):
-            equations.append(rows[h])
-            rhs.append(target.coefficient(h))
-    sol = solve_linear(SparseMatrix(len(forms), equations), rhs)
-    if sol is None:
-        raise DecompositionError(
-            "operator does not match ad x + a*D1 + b*D2 + c*D3 on this window"
-        )
-    coeffs = [sol.get(j, Fraction(0)) for j in range(len(forms))]
-    x = Element({g: k for form, k in zip(forms, coeffs) for g in form.inner_part.terms})
-    return DerivationDecomposition(x, *coeffs[-len(OUTER_DERIVATIONS):])
+    return UnitFormRows(w, cfg).decompose(op)

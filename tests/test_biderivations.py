@@ -29,7 +29,7 @@ from svalgebra import (
 )
 from svalgebra.biderivations import PairCoords, biderivation_constraint_matrix, predicted_biderivation_maps
 from svalgebra.linalg import kernel_dimension_modp, span_basis
-from svalgebra.operators import DecompositionError, project_columns
+from svalgebra.operators import DecompositionError, DerivationDecomposition, UnitFormRows, project_columns
 from svalgebra.postlie import solve_postlie_window
 from svalgebra.windows import BracketTable
 
@@ -190,6 +190,16 @@ class TestClassification:
 
     def test_modp_oracle(self, biderivations_n3):
         assert kernel_dimension_modp(biderivations_n3.matrix) == 192
+        # the full tensor system, which the factored one stands for
+        assert kernel_dimension_modp(biderivation_constraint_matrix(Window(3), CFG0)[0]) == 192
+
+    def test_kernel_dimension_frozen_half(self):
+        bc = classify_biderivations(Window(3), CFG_HALF)
+        assert bc.kernel_dimension == 158
+        assert kernel_dimension_modp(bc.matrix) == 158
+        assert kernel_dimension_modp(biderivation_constraint_matrix(Window(3), CFG_HALF)[0]) == 158
+        assert bc.predicted_in_kernel
+        assert bc.interior_match
 
     def test_kernel_dimension_frozen_n4(self):
         bc = classify_biderivations(Window(4), CFG0)
@@ -210,6 +220,13 @@ class TestClassification:
         bc = classify_biderivations(Window(5), CFG0)
         assert bc.kernel_dimension == 504
         assert kernel_dimension_modp(bc.matrix) == 504
+        assert bc.predicted_in_kernel
+        assert bc.interior_match
+
+    def test_kernel_dimension_frozen_n5_half(self):
+        bc = classify_biderivations(Window(5), CFG_HALF)
+        assert bc.kernel_dimension == 466
+        assert kernel_dimension_modp(bc.matrix) == 466
         assert bc.predicted_in_kernel
         assert bc.interior_match
 
@@ -302,6 +319,30 @@ class TestDecompose:
             decompose_biderivation(f, w, cfg)
         assert str(info.value).startswith("f(L[0], .): ")
         assert str(info.value).endswith("; f is not a biderivation on this window")
+
+
+    @pytest.mark.parametrize("cfg", [CFG0, CFG_HALF], ids=["eps0", "eps12"])
+    def test_every_slice_reads_one_build_of_the_unit_rows(self, cfg, monkeypatch):
+        """The unit forms are evaluated on the interior generators once per
+        decomposition, not once per slice."""
+        w = Window(4)
+        f = realize(BiderivationForm(Fraction(1, 2), {0: 3}), w, cfg)
+        seen = []
+        value = DerivationDecomposition.value
+
+        def counted(self, g, cfg):
+            seen.append(g)
+            return value(self, g, cfg)
+
+        monkeypatch.setattr(DerivationDecomposition, "value", counted)
+        builds = []
+        init = UnitFormRows.__init__
+        monkeypatch.setattr(UnitFormRows, "__init__", lambda self, *args: builds.append(init(self, *args)))
+        dec = decompose_biderivation(f, w, cfg)
+        assert len(builds) == 1
+        interior = w.interior_generators(cfg)
+        assert len(seen) == len(interior) * (len(w.generators(cfg)) + 2)
+        assert len(dec.phi.action) == len(dec.psi.action) == len(interior)
 
 
 class TestWindowTensorPlumbing:

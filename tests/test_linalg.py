@@ -28,7 +28,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from svalgebra import AlgebraConfig, SparseMatrix, SpanBasis, Window, kernel_basis, rank, span_basis
+from svalgebra import (
+    AlgebraConfig, SparseMatrix, SpanBasis, Window, classify_biderivations, kernel_basis, rank, span_basis,
+)
 from svalgebra.linalg import (
     _Rref,
     kernel_dimension_dense_modp,
@@ -569,8 +571,10 @@ def test_kernel_equals_plain_elimination_on_derivations(epsilon):
     assert kernel_basis(m).vectors == _reference_kernel_basis(m).vectors
 
 
-def test_kernel_equals_plain_elimination_on_biderivations(biderivations_n3):
-    m = biderivations_n3.matrix
+def test_kernel_equals_plain_elimination_on_biderivations(biderivations_n3, cfg0):
+    """The classification solves the factored system; its lifted kernel is
+    the plain elimination's on the tensor system."""
+    m, _ = biderivation_constraint_matrix(Window(3), cfg0)
     assert biderivations_n3.kernel.vectors == _reference_kernel_basis(m).vectors
 
 
@@ -617,6 +621,48 @@ def test_modular_kernel_equals_exact_elimination_on_windows(kind, n, epsilon, fa
     monkeypatch.setattr(linalg, "_modular_kernel", lambda *args: None)
     assert _keyed(k.vectors) == _keyed(kernel_basis(m).vectors)
     assert fallbacks == [m.rows]
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)], ids=["e0", "e12"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_factored_biderivation_kernel_equals_the_tensor_system(n, epsilon, fallbacks):
+    """Identity (1) imposed through the window derivation kernel: the lifted
+    kernel of the factored system is the tensor system's canonical basis,
+    vector for vector, and every kernel on the way, the derivation kernel
+    included, is proven on its modular pass."""
+    cfg = AlgebraConfig(epsilon)
+    bc = classify_biderivations(Window(n), cfg)
+    assert fallbacks == []
+    m, coords = biderivation_constraint_matrix(Window(n), cfg)
+    assert bc.kernel.vectors == kernel_basis(m).vectors
+    assert fallbacks == []
+    # the factored unknowns (j, z): a derivation kernel vector per slice
+    der = derivation_constraint_matrix(Window(n), cfg)[0]
+    assert bc.matrix.col_count == kernel_basis(der).dimension * coords.n < m.col_count
+    assert all(row and type(x) is int for row in bc.matrix.rows for x in row.values())
+
+
+def test_comparison_lifts_a_kernel_solved_in_other_unknowns():
+    """``lift`` maps the kernel of m to the comparison's columns, and the
+    images are re-reduced: here the unknown u stands for (u, u, 0) and w
+    for (0, 2w, w), and m forces u = w."""
+
+    class Coords:
+        col_count = 3
+
+        def interior_columns(self):
+            return {0, 1, 2}
+
+    def lift(vectors):
+        for v in vectors:
+            u, w = v.get(0, F(0)), v.get(1, F(0))
+            yield {c: x for c, x in {0: u, 1: u + 2 * w, 2: w}.items() if x}
+
+    m = SparseMatrix(2, [{0: F(1), 1: F(-1)}])
+    c = linalg.KernelComparison.of(Coords(), m, [{0: F(2), 1: F(6), 2: F(2)}], lift=lift)
+    assert c.matrix is m
+    assert c.kernel.vectors == ({0: F(1), 1: F(3), 2: F(1)},)
+    assert c.confirmed
 
 
 @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)], ids=["e0", "e12"])
