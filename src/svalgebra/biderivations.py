@@ -27,13 +27,12 @@ both arguments within floor(N/2) and the value shift within
 central shifts that budget admits.
 
 ``biderivation_constraint_matrix`` writes both row families on the n^3
-tensor columns.  ``classify_biderivations`` solves the same system
-factored through the window derivation kernel (``_factored_system``):
-identity (1) holds by construction for f = sum c_{j,z} B_j (x) e_z, so only
-the identity (2) rows are eliminated, in k*n unknowns for a derivation
-kernel of dimension k (1491 instead of 9261 at N=3, epsilon 0), and the
-kernel is lifted back to tensor columns.  The reduced echelon basis is
-unique, so the lifted kernel is the tensor system's, vector for vector.
+tensor columns.  ``classify_biderivations`` solves the same system with
+identity (1) imposed through the window derivation kernel
+(``_slice_basis``, read by the post-Lie brute enclosure too), in k*n
+unknowns for a kernel of dimension k (1491 instead of 9261 at N=3,
+epsilon 0).  The reduced echelon basis is unique, so the lifted kernel is
+the tensor system's, vector for vector.
 """
 from __future__ import annotations
 
@@ -280,9 +279,7 @@ def _identity1_slices(rows: List[SparseVec], n: int):
 def _identity2_slices(rows: List[SparseVec], n: int):
     """The derivation rows of every slice f(g1, .), whose operator column
     (g, h) is the tensor column (g1, g, h)."""
-    step = n * n
-    for p1 in range(n):
-        shift = p1 * step
+    for shift in range(0, n ** 3, n * n):
         for row in rows:
             yield {c + shift: x for c, x in row.items()}
 
@@ -312,49 +309,22 @@ def biderivation_constraint_matrix(w: Window, cfg: AlgebraConfig) -> Tuple[Spars
     return SparseMatrix(coords.col_count, rows), coords
 
 
-def _factored_system(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, PairCoords, Callable]:
-    """The biderivation system with identity (1) imposed by construction.
-
-    Identity (1) says every slice f(., z) is a window derivation, so the
-    tensors it admits are exactly sum_{j,z} c_{j,z} B_j (x) e_z, B_1..B_k
-    the canonical kernel basis of the window's derivation rows, each
-    scaled by the lcm of its denominators (primitive, as it holds a 1).
-    The map from the c_{j,z} is injective, so the identity (2) rows,
-    rewritten in the unknowns (j, z), have a kernel isomorphic to the
-    tensor system's: for slice x, derivation row r gives the coefficient
-    sum_h r[(g, h)] * B_j[(x, h)] at column j * n + g, in integers, the
-    halves of r doubled.  Rows that vanish are dropped.  Returns the
-    matrix, the tensor columns and the lift of a kernel vector back to
-    them, sum c_{j,z} B_j (x) e_z.
-    """
-    coords = PairCoords(w, cfg)
-    n = coords.n
-    der = list(derivation_rows(BracketTable(w, cfg)))
+def _slice_basis(der: List[SparseVec], n: int) -> Tuple[int, List[List[Tuple[int, int]]], Callable]:
+    """The tensors whose every slice f(., z) solves the derivation rows
+    ``der``: exactly sum_{j,z} c_{j,z} B_j (x) e_z, B_1..B_k the canonical
+    kernel basis of ``der`` on n * n columns, each scaled by the lcm of its
+    denominators (primitive, as it holds a 1), injective in the unknowns
+    c_{j,z} at column j * n + z.  Returns k, the index at[g * n + h] of each
+    (j, B_j[(g, h)]) with a nonzero entry, j ascending, in ints, and the
+    lift of vectors in the unknowns to tensor columns."""
     basis = []
     for v in kernel_basis(SparseMatrix(n * n, der)).vectors:
         scale = lcm(*(x.denominator for x in v.values()))
         basis.append({c: x * scale for c, x in v.items()})
-    # at[x * n + h]: each (j, B_j[(x, h)]) with a nonzero entry, j ascending
     at: List[List[Tuple[int, int]]] = [[] for _ in range(n * n)]
     for j, b in enumerate(basis):
         for c, x in b.items():
             at[c].append((j, x.numerator))
-    doubled = [[(c // n, c % n, (2 * x).numerator) for c, x in row.items()] for row in der]
-    rows = []
-    for x in range(n):
-        base = x * n
-        for r in doubled:
-            row: Dict[int, int] = {}
-            for g, h, a in r:
-                for j, b in at[base + h]:
-                    col = j * n + g
-                    nv = row.get(col, 0) + a * b
-                    if nv:
-                        row[col] = nv
-                    else:
-                        del row[col]
-            if row:
-                rows.append(row)
 
     def lift(vectors: Iterable[SparseVec]) -> Iterator[SparseVec]:
         for v in vectors:
@@ -366,7 +336,32 @@ def _factored_system(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, PairC
                     vec_bump(t, (g * n + z) * n + h, c * b)
             yield t
 
-    return SparseMatrix(len(basis) * n, rows), coords, lift
+    return len(basis), at, lift
+
+
+def _factored_system(w: Window, cfg: AlgebraConfig) -> Tuple[SparseMatrix, PairCoords, Callable]:
+    """The biderivation system with identity (1) imposed by construction:
+    its tensors are those of `_slice_basis` over the window's derivation
+    rows, and only the identity (2) rows are rewritten in its unknowns.
+    For slice x, derivation row r gives sum_h r[(g, h)] * B_j[(x, h)] at
+    column j * n + g, in ints, the halves of r doubled; rows that vanish
+    are dropped.  Returns the matrix, the tensor columns and the lift."""
+    coords = PairCoords(w, cfg)
+    n = coords.n
+    der = list(derivation_rows(BracketTable(w, cfg)))
+    k, at, lift = _slice_basis(der, n)
+    doubled = [[(c // n, c % n, (2 * x).numerator) for c, x in row.items()] for row in der]
+    rows = []
+    for x in range(n):
+        base = x * n
+        for r in doubled:
+            row: Dict[int, int] = {}
+            for g, h, a in r:
+                for j, b in at[base + h]:
+                    vec_bump(row, j * n + g, a * b)
+            if row:
+                rows.append(row)
+    return SparseMatrix(k * n, rows), coords, lift
 
 
 def predicted_biderivation_maps(w: Window, cfg: AlgebraConfig) -> List[BilinearMap]:

@@ -6,9 +6,10 @@ Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros.
 then a stored zero raises ZeroDivisionError.  `SparseMatrix` and
 `span_basis` refuse both, then a column out of range (`add_row` drops
 zeros); `SpanBasis.reduce` and `contains` refuse both, and `solve_linear`
-the first in its right-hand side.  Each solver refuses alike the entries
-it reads (forcing entries, live rows, every entry in the mod-p oracle), so
-a row appended to ``SparseMatrix.rows`` is refused where it is read.
+the first in its right-hand side.  Each solver refuses alike every entry
+of its rows (each row left with no live column in `_presolve`, the live
+rows where they are eliminated, every entry in the mod-p oracle), so a row
+appended to ``SparseMatrix.rows`` is refused too.
 Everything is computed by pivoted Gaussian elimination into the reduced
 echelon form (each pivot row has leading entry 1 and is zero at every
 other leading column), which `_Rref` keeps after each insert, over the
@@ -314,11 +315,12 @@ def _forced_columns(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int
 
 
 def _presolve(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int]]:
-    """`_forced_columns`, refusing a forcing entry as `_refuse_inexact` does,
-    a stored zero as a zero pivot would be."""
+    """`_forced_columns`, refusing an entry of a row left with no live
+    column, forcing or settled, as `_refuse_inexact` does, and a stored
+    zero at a forcing entry as a zero pivot would be."""
     forced, live = _forced_columns(rows)
+    _refuse_inexact([row for row, n in zip(rows, live) if not n], refuse_zeros=False)
     forcing = {c: rows[i][c] for c, i in forced.items()}
-    _refuse_inexact((forcing,), refuse_zeros=False)
     if not all(forcing.values()):
         raise ZeroDivisionError("a forcing entry is a stored zero")
     return forced, live

@@ -7,33 +7,32 @@ all ordered pairs of window generators.  Three axioms are checked:
   axiom-6:  [x, y] * z = x * (y * z) - y * (x * z)
   axiom-7:  x * [y, z] = [x * y, z] + [y, x * z]
 
-Axiom checks run on integer positions (``AxiomCheck``) and are exact:
-generators are numbered as they are met, coefficients stay rational, and
-each defect is the rational one, turned back into a full element only when
-a violation is recorded.  A stored product value may stick out of the
-window and still enters the comparison exactly.  An axiom instance is
-skipped only when it cannot be evaluated from window data: axiom-6 needs
-[x, y], y * z and x * z inside the window (the product accepts only window
-arguments), axiom-7 needs [y, z] inside the window.  Axiom-5 instances are
-always evaluable.
+Axiom checks run on integer positions (``AxiomCheck``) and are exact.  A
+stored product value may stick out of the window and still enters the
+comparison exactly.  An axiom instance is skipped only when it cannot be
+evaluated from window data: axiom-6 needs [x, y], y * z and x * z inside
+the window (the product accepts only window arguments), axiom-7 needs
+[y, z] inside the window.  Axiom-5 instances are always evaluable.
 
 The main classification result reduces every window product built from a
 bracket multiple plus a central shift tail to the trivial one: any nonzero
 parameter choice breaks one of the axioms, and `triviality_witness` returns
 the breaking instance together with its exact residual in closed form.
 `verify_triviality_theorem` sweeps a fixed parameter grid and replays each
-witness through the generic axiom evaluator, so the closed form and the
-checker must agree term by term.  The replay runs the same per-instance
-evaluation as the full check `postlie_axiom_defects` and reads only the
-product values and brackets the instance needs, on demand from
-``BiderivationForm.value``; the full check reads every window value once.
+witness through the generic axiom evaluator (`axiom_defect`), so the closed
+form and the checker must agree term by term.
 
 `solve_postlie_window` is an independent brute-force cross-check.  It treats
 the product tensor itself as the unknown and works with the windowed axiom
 system for window-supported tensors: symmetry rows, the faithful axiom-7
 rows shared with the biderivation solver, and the axiom-6 rows, which are
-quadratic in the unknowns.  The quadratic rows are used soundly: a row none
-of whose column pairs lies in the support of the current solution enclosure
+quadratic in the unknowns.  On symmetric tensors the axiom-7 rows, those of
+identity (2), are by transposition those of identity (1), which hold by
+construction on the injective image of `biderivations._slice_basis`.  So
+only the symmetry rows are eliminated, in its unknowns, and the lifted
+canonical kernel is that of the unfactored rows, counted in ``linear_rows``
+(`_enclosure_kernel`).  The quadratic rows are used soundly: a row none of
+whose column pairs lies in the support of the current solution enclosure
 has a quadratic part that vanishes on the whole enclosure, so it forces its
 one linear column to zero (`_trim_step`, set algebra on that support).
 Iterating this trim keeps an enclosure of the true solution set at every
@@ -61,12 +60,13 @@ from .biderivations import (
     BiderivationForm,
     BilinearMap,
     PairCoords,
-    _identity2_slices,
+    _slice_basis,
     realize,
 )
 from .linalg import (
     SparseMatrix,
     SparseVec,
+    SpanBasis,
     kernel_basis,
     project_columns,
     span_basis,
@@ -78,8 +78,6 @@ from .windows import MAX_RECORDED, BracketTable, DefectReport, Window
 
 ProductLike = Union[BilinearMap, BiderivationForm]
 Values = Callable[[GeneratorId, GeneratorId], Element]
-
-_ONE = Fraction(1)
 
 AXIOM_COMMUTATIVITY = "axiom-5"
 AXIOM_WEIGHTED_LEIBNIZ = "axiom-6"
@@ -524,25 +522,19 @@ class PostLieBruteReport:
 def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     """Enclose all window tensors satisfying the axioms; test the interior.
 
-    The enclosure starts as the kernel of the linear rows (symmetry plus the
-    faithful axiom-7 rows).  The bracket of two generators is a monomial, so
+    The enclosure starts as the kernel of the linear rows
+    (`_enclosure_kernel`).  The bracket of two generators is a monomial, so
     each axiom-6 row has one linear column; `_trim_step` forces it to zero
     when no quadratic term of the row has both columns in the support, and
     the enclosure shrinks to its part vanishing on every forced column,
-    until no column is new.  See the module docstring for why the result is
-    an enclosure and what the verdict does and does not claim.
+    until no column is new.  See the module docstring for why the factoring
+    is exact, why the result is an enclosure and what the verdict claims.
     """
     w.require(3, "brute post-Lie solve")
     coords = PairCoords(w, cfg)
     table = BracketTable(w, cfg)
     n = coords.n
-
-    rows: List[SparseVec] = [
-        {(a * n + b) * n + k: _ONE, (b * n + a) * n + k: -_ONE}
-        for a in range(n) for b in range(a + 1, n) for k in range(n)
-    ]
-    rows.extend(_identity2_slices(list(derivation_rows(table)), n))
-    kernel = kernel_basis(SparseMatrix(coords.col_count, rows))
+    kernel, linear_rows = _enclosure_kernel(coords, table)
 
     # (x, y, b) with [x, y] a nonzero multiple of the window generator b
     closed = [(x, y, b) for x, y, b, c in table.pairs if c]
@@ -567,7 +559,7 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
         window=w,
         epsilon=cfg.epsilon,
         columns=coords.col_count,
-        linear_rows=len(rows),
+        linear_rows=linear_rows,
         kernel_dimension=kernel.dimension,
         quadratic_instances=len(closed) * n * n,
         forced_columns=len(forced),
@@ -575,6 +567,27 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
         final_dimension=len(basis),
         interior_dimension=interior.dimension,
     )
+
+
+def _enclosure_kernel(coords: PairCoords, table: BracketTable) -> Tuple[SpanBasis, int]:
+    """The canonical kernel of the linear rows, and their unfactored count:
+    n * n(n - 1)/2 symmetry rows and n per derivation row.  In the unknowns
+    of `_slice_basis`, the symmetry row of a < b at h is
+    sum_j B_j[(a, h)] c_{j,b} - sum_j B_j[(b, h)] c_{j,a}, in ints; empty
+    rows are dropped."""
+    n = coords.n
+    der = list(derivation_rows(table))
+    k, at, lift = _slice_basis(der, n)
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for h in range(n):
+                row = {j * n + b: x for j, x in at[a * n + h]}
+                row.update((j * n + a, -x) for j, x in at[b * n + h])
+                if row:
+                    rows.append(row)
+    kernel = kernel_basis(SparseMatrix(k * n, rows))
+    return span_basis(lift(kernel.vectors), coords.col_count), n * n * (n - 1) // 2 + n * len(der)
 
 
 def _trim_step(closed: Sequence[Tuple[int, int, int]], n: int, basis: Sequence[SparseVec]) -> Set[int]:

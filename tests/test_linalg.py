@@ -40,9 +40,10 @@ from svalgebra.linalg import (
     vec_bump,
 )
 from svalgebra import linalg
-from svalgebra.biderivations import biderivation_constraint_matrix
+from svalgebra.biderivations import PairCoords, biderivation_constraint_matrix, identity2_rows
 from svalgebra.operators import derivation_constraint_matrix
-from svalgebra.postlie import solve_postlie_window
+from svalgebra.postlie import _enclosure_kernel, solve_postlie_window
+from svalgebra.windows import BracketTable
 
 from conftest import deadline
 
@@ -550,6 +551,16 @@ def test_every_solver_refuses_an_escaped_row_alike(row, error, solver):
         _SOLVERS[solver](m)
 
 
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_every_solver_refuses_a_float_in_a_settled_row(solver):
+    """The last row forces column 0, and the first is then settled without
+    being eliminated; each solver still refuses its float, as the oracle,
+    which reads every entry, does."""
+    m = _raw(2, {0: 0.5}, {0: F(1)}, {0: F(1)})
+    with pytest.raises(TypeError, match="a scalar is an int or a Fraction"):
+        _SOLVERS[solver](m)
+
+
 def test_forcing_chain_settles_without_recursion():
     """Rows {0}, {0,1}, ..., {k-1,k} in reverse order: each row is settled
     only after the one emitted after it, so a sweep over the rows would
@@ -640,6 +651,27 @@ def test_factored_biderivation_kernel_equals_the_tensor_system(n, epsilon, fallb
     der = derivation_constraint_matrix(Window(n), cfg)[0]
     assert bc.matrix.col_count == kernel_basis(der).dimension * coords.n < m.col_count
     assert all(row and type(x) is int for row in bc.matrix.rows for x in row.values())
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)], ids=["e0", "e12"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_brute_enclosure_kernel_equals_the_unfactored_system(n, epsilon, fallbacks):
+    """Identity (2) imposed through the window derivation kernel: the lifted
+    kernel of the brute enclosure's factored symmetry rows is that of the
+    two-term symmetry rows plus `identity2_rows` on tensor columns, vector
+    for vector, proven on its modular pass, and its row count is theirs."""
+    cfg, w = AlgebraConfig(epsilon), Window(n)
+    coords = PairCoords(w, cfg)
+    kernel, linear_rows = _enclosure_kernel(coords, BracketTable(w, cfg))
+    assert fallbacks == []
+    k = coords.n
+    rows = [
+        {(a * k + b) * k + h: F(1), (b * k + a) * k + h: F(-1)}
+        for a in range(k) for b in range(a + 1, k) for h in range(k)
+    ]
+    rows.extend(identity2_rows(coords, cfg))
+    assert linear_rows == len(rows)
+    assert kernel.vectors == kernel_basis(SparseMatrix(coords.col_count, rows)).vectors
 
 
 def test_comparison_lifts_a_kernel_solved_in_other_unknowns():

@@ -317,8 +317,15 @@ class TestBruteSolve:
             (4, Fraction(1, 2), 17576, 114270, 211, 104104, 859),
             (5, Fraction(0), 35937, 299772, 309, 276606, 1717),
             (5, Fraction(1, 2), 32768, 260160, 291, 241664, 1609),
+            (6, Fraction(0), 59319, 579150, 457, 541476, 2725),
+            (6, Fraction(1, 2), 54872, 515546, 455, 488072, 2537),
+            (7, Fraction(0), 91125, 1023570, 659, 972000, 4133),
+            (7, Fraction(1, 2), 85184, 926288, 611, 886688, 3965),
         ],
-        ids=["N3-eps0", "N3-eps1/2", "N4-eps0", "N4-eps1/2", "N5-eps0", "N5-eps1/2"],
+        ids=[
+            "N3-eps0", "N3-eps1/2", "N4-eps0", "N4-eps1/2", "N5-eps0", "N5-eps1/2",
+            "N6-eps0", "N6-eps1/2", "N7-eps0", "N7-eps1/2",
+        ],
     )
     def test_window_collapses_to_zero(self, radius, eps, columns, linear_rows, kernel, quadratic, forced):
         br = solve_postlie_window(Window(radius), AlgebraConfig(eps))
