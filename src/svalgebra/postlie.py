@@ -527,8 +527,7 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
     each axiom-6 row has one linear column; `_trim_step` forces it to zero
     when no quadratic term of the row has both columns in the support, and
     the enclosure shrinks to its part vanishing on every forced column,
-    until no column is new.  See the module docstring for why the factoring
-    is exact, why the result is an enclosure and what the verdict claims.
+    until no column is new.  The module docstring says why this is exact.
     """
     w.require(3, "brute post-Lie solve")
     coords = PairCoords(w, cfg)
@@ -570,11 +569,10 @@ def solve_postlie_window(w: Window, cfg: AlgebraConfig) -> PostLieBruteReport:
 
 
 def _enclosure_kernel(coords: PairCoords, table: BracketTable) -> Tuple[SpanBasis, int]:
-    """The canonical kernel of the linear rows, and their unfactored count:
-    n * n(n - 1)/2 symmetry rows and n per derivation row.  In the unknowns
-    of `_slice_basis`, the symmetry row of a < b at h is
-    sum_j B_j[(a, h)] c_{j,b} - sum_j B_j[(b, h)] c_{j,a}, in ints; empty
-    rows are dropped."""
+    """The canonical kernel of the linear rows and their unfactored count,
+    n * n(n - 1)/2 symmetry rows and n per derivation row.  The symmetry
+    row of a < b at h, in the unknowns of `_slice_basis`, is
+    sum_j B_j[(a, h)] c_{j,b} - sum_j B_j[(b, h)] c_{j,a}, in ints."""
     n = coords.n
     der = list(derivation_rows(table))
     k, at, lift = _slice_basis(der, n)

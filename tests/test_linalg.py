@@ -656,8 +656,8 @@ def test_factored_biderivation_kernel_equals_the_tensor_system(n, epsilon, fallb
 @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)], ids=["e0", "e12"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_brute_enclosure_kernel_equals_the_unfactored_system(n, epsilon, fallbacks):
-    """Identity (2) imposed through the window derivation kernel: the lifted
-    kernel of the brute enclosure's factored symmetry rows is that of the
+    """The brute enclosure's linear rows solved through the window derivation
+    kernel: the lifted kernel of its factored symmetry rows is that of the
     two-term symmetry rows plus `identity2_rows` on tensor columns, vector
     for vector, proven on its modular pass, and its row count is theirs."""
     cfg, w = AlgebraConfig(epsilon), Window(n)
