@@ -56,10 +56,11 @@ window's columns.
 
 The independent cross-check for kernel dimensions, `kernel_dimension_modp`,
 is a sparse integer elimination that decides the rank over three primes in
-one pass modulo their product.  It shares only the support-level forced
-pass with `_Rref`'s eliminations: its arithmetic, its forcing check and
-its elimination are its own.  The package needs nothing beyond the
-standard library.
+one pass modulo their product, rows shortest first so that pivot tails stay
+short (a rank does not depend on row order).  It shares only the
+support-level forced pass with `_Rref`'s eliminations: its arithmetic, its
+forcing check and its elimination are its own.  The package needs nothing
+beyond the standard library.
 """
 from __future__ import annotations
 
@@ -281,16 +282,12 @@ class SpanBasis:
 
 
 def _forced_columns(rows: Sequence[SparseVec]) -> Tuple[Dict[int, int], List[int]]:
-    """Columns that single-entry rows force to zero, read from the supports.
-
-    A row with exactly one column not yet forced forces that column to
-    zero, which may leave other rows with one unforced column in turn; a
-    worklist over a column -> rows index follows these cascades in time
-    linear in the nonzeros.  Returns each forced column with the index of
-    the row that forced it, and each row's count of unforced columns,
-    which is zero or at least two once no forcing is left.  The forcing
-    entries form a triangle: ordered by forcing time, each forcing row is
-    zero on every column forced after its own.
+    """Columns that single-entry rows force to zero, read from the supports
+    by the worklist of the module docstring.  Returns each forced column
+    with the index of the row that forced it, and each row's count of
+    unforced columns, which is zero or at least two once no forcing is
+    left.  The forcing entries form a triangle: ordered by forcing time,
+    each forcing row is zero on every column forced after its own.
     """
     live = [len(row) for row in rows]
     rows_at: DefaultDict[int, List[int]] = defaultdict(list)
@@ -657,11 +654,14 @@ def _rank_mod(rows: List[Dict[int, int]], q: int) -> Optional[int]:
     Each pivot row is stored scaled to leading entry 1, without that
     entry.  A row is reduced at its leading column until it vanishes or
     leads at a new column, where it becomes a pivot row.  Only the rank is
-    needed, so nothing is back-substituted.  Returns None as soon as a
-    leading entry is not a unit mod q.
+    needed, so nothing is back-substituted, and rows go shortest first:
+    pivot tails stay short, so a redundant row cancels in a few steps
+    (the row half of H. M. Markowitz's pivot rule, Management Science 3,
+    1957), and the rank does not depend on the order.  Returns None as
+    soon as a leading entry is not a unit mod q.
     """
     pivots: Dict[int, Dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         work = dict(row)
         while work:
             lead = min(work)
@@ -700,19 +700,17 @@ def kernel_dimension_modp(m: SparseMatrix) -> int:
     GF(p) at once, so the pivot count is the exact rank over each prime.
     If a forcing entry or a leading entry is not a unit, every row is
     eliminated once per prime instead.  A disagreement, or a prime dividing
-    one of the denominators (the smallest such prime is named), raises.
+    a denominator (the smallest is named), raises.
 
-    It shares only the support-level forced pass with the exact
-    elimination.  Rank over GF(p) never exceeds the rational rank, so
-    agreement with an exact kernel basis whose vectors were verified
-    against the matrix certifies the rational kernel dimension outright.
+    Rank over GF(p) never exceeds the rational rank, so agreement with an
+    exact kernel basis whose vectors were verified against the matrix
+    certifies the rational kernel dimension outright.
     """
     q = prod(_PRIMES)
     forced, live = _forced_columns(m.rows)
     inverses = {d: pow(d, -1, q) if gcd(d, q) == 1 else None for d in _denominators(m.rows)}
-    bad = [d for d, inv in inverses.items() if inv is None]
-    if bad:
-        p = min(p for p in _PRIMES if any(d % p == 0 for d in bad))
+    if None in inverses.values():
+        p = min(p for p in _PRIMES for d in inverses if d % p == 0)
         raise ArithmeticError(f"prime {p} divides a denominator")
 
     def residues(row: SparseVec, skip: Container[int]) -> Dict[int, int]:

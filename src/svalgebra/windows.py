@@ -131,16 +131,18 @@ class WindowCoords:
         """Coordinates where window encodings of genuine solutions are
         exact: every argument interior and the value shift within
         ``shift_budget``, so |h| <= N is automatic and no value term of a
-        window-supported solution is clipped there."""
-        budget = self.window.shift_budget(self.arity)
-        inner = [g for g in self.gens if self.window.is_interior(g)]
-        cols = set()
+        window-supported solution is clipped there.  Read on the doubled
+        indices 2 * index, which are integers, with integer column arithmetic."""
+        n, twice = self.n, [int(2 * g.index) for g in self.gens]
+        reach = 2 * self.window.shift_budget(self.arity)
+        inner = [i for i, d in enumerate(twice) if abs(d) <= 2 * self.window.interior_radius]
+        cols: Set[int] = set()
         for args in product(inner, repeat=self.arity):
-            s = sum(g.index for g in args)
-            base = self.col(*args) * self.n
-            for h in self.gens:
-                if abs(h.index - s) <= budget:
-                    cols.add(base + self.pos[h])
+            s, base = 0, 0
+            for i in args:
+                s, base = s + twice[i], base * n + i
+            base *= n
+            cols.update(base + h for h, d in enumerate(twice) if abs(d - s) <= reach)
         return cols
 
 

@@ -29,7 +29,8 @@ import hypothesis.strategies as st
 import pytest
 
 from svalgebra import (
-    AlgebraConfig, SparseMatrix, SpanBasis, Window, classify_biderivations, kernel_basis, rank, span_basis,
+    AlgebraConfig, SparseMatrix, SpanBasis, Window, classify_biderivations, classify_derivations, kernel_basis, rank,
+    span_basis,
 )
 from svalgebra.linalg import (
     _Rref,
@@ -775,6 +776,15 @@ def test_reduce_leaves_complement():
     assert r == {2: F(1)}
 
 
+@pytest.mark.parametrize("epsilon, dimension", [(Fraction(0), 251), (Fraction(1, 2), 254)], ids=["e0", "e12"])
+def test_modp_oracle_agrees_on_the_radius8_derivation_kernel(epsilon, dimension):
+    """The largest derivation systems the oracle cross-checks: 31737 rows at
+    epsilon 0, of which 10282 reach its elimination."""
+    dc = classify_derivations(Window(8), AlgebraConfig(epsilon))
+    assert dc.kernel_dimension == dimension
+    assert kernel_dimension_modp(dc.matrix) == dimension
+
+
 def test_modp_oracle_reports_disagreeing_primes():
     m = SparseMatrix(1)
     m.add_row({0: F(1_000_003)})
@@ -973,3 +983,16 @@ def test_modp_presolve_agrees_with_dense_reference(m):
     """Through forcing cascades with unit and non-unit forcing entries: the
     same kernel dimension, or the same error, as the dense numpy oracle."""
     assert _outcome(kernel_dimension_modp, m) == _outcome(_reference_kernel_dimension_modp, m)
+
+
+@given(st.one_of(modp_matrices(), modp_forcing_matrices()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_modp_outcome_does_not_depend_on_row_order(m, data):
+    """The oracle picks its own elimination order (rows shortest first), and
+    the rows that force each column depend on the given order.  Neither may
+    change the kernel dimension or the error: rows reversed or shuffled by
+    a drawn permutation give the outcome of the rows as given."""
+    order = data.draw(st.permutations(range(m.row_count)))
+    want = _outcome(kernel_dimension_modp, m)
+    assert _outcome(kernel_dimension_modp, SparseMatrix(m.col_count, m.rows[::-1])) == want
+    assert _outcome(kernel_dimension_modp, SparseMatrix(m.col_count, [m.rows[i] for i in order])) == want
