@@ -15,8 +15,10 @@ with brackets
     [Y_m, Y_n] = (m - n) M_{m+n}
     [Y_m, M_n] = [M_m, M_n] = 0
 
-``structure`` reads the first four rows as integer polynomials of the
-doubled indices, a swapped pair as the negative of its row.
+A generator carries its doubled index 2 * index as ``twice``, an int on
+both index lattices, and every grading rule reads it: ``structure`` reads
+the first four rows as integer polynomials of the doubled indices, a
+swapped pair as the negative of its row.
 ``validate_generator`` is the one check of the index lattices, and raises
 ``DomainError``.
 
@@ -28,7 +30,7 @@ printer of a rational, exact at any length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -74,19 +76,25 @@ class GeneratorId:
     """One basis generator: a family letter plus a rational index.
 
     Hashing a Fraction is surprisingly costly and generator ids are dict
-    keys everywhere, so the hash is computed once up front.  Equality
-    stays structural; ``gen`` additionally interns instances so that hot
-    dict probes usually hit the identity fast path.
+    keys everywhere, so the hash is computed once up front, and so is the
+    doubled index ``twice`` = 2 * index that the grading rules read: an int
+    on both index lattices, the exact Fraction off them.  Equality stays
+    structural; ``gen`` additionally interns instances so that hot dict
+    probes usually hit the identity fast path.
     """
 
     family: str
     index: Fraction
+    twice: Scalar = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_RANK:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "index", exact(self.index))
-        object.__setattr__(self, "_hash", hash((self.family, self.index)))
+        index = exact(self.index)
+        twice = 2 * index
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "twice", twice.numerator if twice.denominator == 1 else twice)
+        object.__setattr__(self, "_hash", hash((self.family, index)))
 
     def sort_key(self) -> Tuple[int, Fraction]:
         return (_FAMILY_RANK[self.family], self.index)
@@ -104,7 +112,7 @@ class GeneratorId:
         return self._hash  # type: ignore[attr-defined]
 
     def __reduce__(self) -> Tuple[object, Tuple[str, Fraction]]:
-        # string hashes are seeded per process: unpickle through gen, which rehashes
+        # string hashes are seeded per process: unpickle through gen, which rehashes and redoubles
         return gen, (self.family, self.index)
 
     def __str__(self) -> str:
@@ -291,19 +299,8 @@ def structure(f1: str, d1: Scalar, f2: str, d2: Scalar) -> Optional[Tuple[str, S
     return (entry[0], four_c) if four_c else None
 
 
-def _doubled(index: Fraction) -> Scalar:
-    """2 * index, an int on both index lattices: the structure rows then
-    cost int operations only."""
-    den = index.denominator
-    if den == 1:
-        return 2 * index.numerator
-    if den == 2:
-        return index.numerator
-    return 2 * index
-
-
 def _bracket_pair(g1: GeneratorId, g2: GeneratorId) -> Element:
-    d1, d2 = _doubled(g1.index), _doubled(g2.index)
+    d1, d2 = g1.twice, g2.twice
     value = structure(g1.family, d1, g2.family, d2)
     if value is None:
         return ZERO

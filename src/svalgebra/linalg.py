@@ -2,14 +2,17 @@
 
 Vectors are sparse ``{column: Fraction}`` dicts with no stored zeros.
 `_refuse_inexact` tests each entry where rows enter: one that
-`algebra.exact` refuses (a float, a string, ...) raises its TypeError,
-then a stored zero raises ZeroDivisionError.  `SparseMatrix` and
-`span_basis` refuse both, then a column out of range (`add_row` drops
-zeros); `SpanBasis.reduce` and `contains` refuse both, and `solve_linear`
-the first in its right-hand side.  Each solver refuses alike every entry
-of its rows (each row left with no live column in `_presolve`, the live
-rows where they are eliminated, every entry in the mod-p oracle), so a row
-appended to ``SparseMatrix.rows`` is refused too.
+`algebra.exact` refuses (a float, a string, a numpy int, ...) raises its
+TypeError, then a stored zero raises ZeroDivisionError.  `SparseMatrix`
+and `span_basis` first refuse a column count that is not a non-negative
+int (`_refuse_column_count`), then both, then a column out of range
+(`add_row` drops zeros); `SpanBasis.reduce` and `contains` refuse both,
+and `solve_linear` the first in its right-hand side.  Each solver refuses
+alike every entry of its rows (each row left with no live column in
+`_presolve`, the live rows where they are eliminated, or, on the modular
+paths, where `_denominators` reads them), so a row appended to
+``SparseMatrix.rows`` is refused too, even with an entry that has a
+``denominator``.
 Everything is computed by pivoted Gaussian elimination into the reduced
 echelon form (each pivot row has leading entry 1 and is zero at every
 other leading column), which `_Rref` keeps after each insert, over the
@@ -122,12 +125,16 @@ def _refuse_inexact(rows: Sequence[SparseVec], refuse_zeros: bool = True) -> Non
 
 
 def _denominators(rows: Sequence[SparseVec]) -> Set[int]:
-    """The denominators of the rows' entries; `_refuse_inexact` refuses one without."""
-    try:
-        return {x.denominator for row in rows for x in row.values()}
-    except AttributeError:
-        _refuse_inexact(rows)
-        raise
+    """The denominators of the rows' entries, each checked by `_refuse_inexact` first."""
+    _refuse_inexact(rows, refuse_zeros=False)
+    return {x.denominator for row in rows for x in row.values()}
+
+
+def _refuse_column_count(col_count: int) -> None:
+    if not isinstance(col_count, int) or isinstance(col_count, bool):
+        raise TypeError(f"column count {col_count!r} is not an int")
+    if col_count < 0:
+        raise ValueError(f"column count {col_count} is negative")
 
 
 def _refuse_out_of_range(rows: Iterable[SparseVec], col_count: int) -> None:
@@ -146,10 +153,7 @@ class SparseMatrix:
     rows: List[SparseVec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.col_count, int) or isinstance(self.col_count, bool):
-            raise TypeError(f"column count {self.col_count!r} is not an int")
-        if self.col_count < 0:
-            raise ValueError(f"column count {self.col_count} is negative")
+        _refuse_column_count(self.col_count)
         _refuse_inexact(self.rows)
         _refuse_out_of_range(self.rows, self.col_count)
 
@@ -163,17 +167,6 @@ class SparseMatrix:
         clean = {c: v for c, v in row.items() if v}
         _refuse_out_of_range((clean,), self.col_count)
         self.rows.append(clean)
-
-    def multiply(self, v: SparseVec) -> List[Fraction]:
-        out = []
-        for row in self.rows:
-            acc = _ZERO
-            for c, x in row.items():
-                xv = v.get(c)
-                if xv is not None:
-                    acc += x * xv
-            out.append(acc)
-        return out
 
 
 def _reduce(v: SparseVec, by_lead: Dict[int, SparseVec], p: int = 0) -> SparseVec:
@@ -353,7 +346,9 @@ def _live_rows(rows: Sequence[SparseVec], forced: Container[int], live: Sequence
 def span_basis(vectors: Iterable[SparseVec], col_count: int) -> SpanBasis:
     """Canonical reduced-echelon basis of the span of the given vectors:
     the forced columns' unit vectors and `_eliminate`'s pivot rows, which
-    vanish on the forced columns.  Vectors are checked as matrix rows are."""
+    vanish on the forced columns.  The count and the vectors are checked as
+    a matrix's are."""
+    _refuse_column_count(col_count)
     vectors = list(vectors)
     _refuse_inexact(vectors)
     _refuse_out_of_range(vectors, col_count)

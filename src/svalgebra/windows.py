@@ -75,13 +75,13 @@ class Window:
         return [g for g in self.generators(cfg) if self.is_interior(g)]
 
     def contains(self, g: GeneratorId) -> bool:
-        return abs(g.index) <= self.radius
+        return abs(g.twice) <= 2 * self.radius
 
     def contains_element(self, e: Element) -> bool:
         return all(self.contains(g) for g in e.terms)
 
     def is_interior(self, g: GeneratorId) -> bool:
-        return abs(g.index) <= self.interior_radius
+        return abs(g.twice) <= 2 * self.interior_radius
 
 
 class WindowCoords:
@@ -132,8 +132,8 @@ class WindowCoords:
         exact: every argument interior and the value shift within
         ``shift_budget``, so |h| <= N is automatic and no value term of a
         window-supported solution is clipped there.  Read on the doubled
-        indices 2 * index, which are integers, with integer column arithmetic."""
-        n, twice = self.n, [int(2 * g.index) for g in self.gens]
+        indices ``twice``, which are integers, with integer column arithmetic."""
+        n, twice = self.n, [g.twice for g in self.gens]
         reach = 2 * self.window.shift_budget(self.arity)
         inner = [i for i, d in enumerate(twice) if abs(d) <= 2 * self.window.interior_radius]
         cols: Set[int] = set()
@@ -154,11 +154,12 @@ class BracketTable:
 
     Positions are the window generators in canonical order, then each new
     ``extra`` generator, then any generator met as an in-window bracket;
-    ``twice`` holds their doubled indices and ``at`` maps (family, doubled
-    index) to a position.  ``table[g * m + h]``, for window g and each of
-    the first m positions h (the window and the extras), is [g, h] read
-    once from ``structure``: None when it vanishes, else (target position,
-    or OUTSIDE past the window, doubled coefficient).  Because the algebra
+    ``twice`` holds their doubled indices, read from the generators
+    (``GeneratorId.twice``), and ``at`` maps (family, doubled index) to a
+    position.  ``table[g * m + h]``, for window g and each of the first m
+    positions h (the window and the extras), is [g, h] read once from
+    ``structure``: None when it vanishes, else (target position, or
+    OUTSIDE past the window, doubled coefficient).  Because the algebra
     is graded, these lookups replace all index arithmetic on generators.
     ``pairs`` lists the closed window pairs a < b, whose bracket vanishes
     or stays in the window, ascending, as (a, b, target, doubled
@@ -190,8 +191,8 @@ class BracketTable:
         """The position of g, numbering it next if it has none."""
         p = self._pos.get(g)
         if p is None:
-            d, odd = divmod(2 * g.index.numerator, g.index.denominator)
-            if odd:
+            d = g.twice
+            if d.__class__ is not int:
                 raise ValueError(f"generator {g}: index {format_rational(g.index)} is not a half-integer")
             self.twice.append(d)
             p = self._pos[g] = self.at[g.family, d] = len(self.order)

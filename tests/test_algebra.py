@@ -21,7 +21,7 @@ from svalgebra import (
     validate_generator,
 )
 from svalgebra import algebra, parsing, parse_generator
-from svalgebra.algebra import _bracket_pair, format_rational, structure
+from svalgebra.algebra import GeneratorId, _bracket_pair, format_rational, structure
 
 CFG0 = AlgebraConfig(Fraction(0))
 CFG_HALF = AlgebraConfig(Fraction(1, 2))
@@ -160,6 +160,18 @@ class TestStructureTable:
 
     def test_table_holds_the_four_listed_rows(self):
         assert sorted(algebra._STRUCTURE) == [("L", "L"), ("L", "M"), ("L", "Y"), ("Y", "Y")]
+
+    def test_generators_carry_their_doubled_index(self):
+        """``twice`` is 2 * index: an int on the L and M lattice and on the
+        Y lattice of both parities, at 40-plus digits too, and the exact
+        Fraction off them."""
+        on = [("L", -3), ("L", 0), ("M", 5), ("M", -(10**41) - 7)]
+        on += [("Y", 2), ("Y", Fraction(-7, 2)), ("Y", Fraction(1, 2))]
+        for f, i in on:
+            g = gen(f, i)
+            assert g.twice == 2 * i and type(g.twice) is int, g
+        off = GeneratorId("L", Fraction(1, 3))
+        assert off.twice == Fraction(2, 3) and type(off.twice) is Fraction
 
 
 class TestDomainError:

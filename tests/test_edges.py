@@ -145,8 +145,21 @@ def test_window_refuses_a_radius_that_is_not_an_integer(radius):
 
 
 def test_sparse_matrix_refuses_a_column_count_that_is_not_an_int():
-    with pytest.raises(TypeError, match=r"^column count 2\.0 is not an int$"):
-        SparseMatrix(2.0, [{0: Fraction(1)}])
+    """``span_basis`` refuses the counts the constructor refuses, with the
+    same messages, before it reads a vector."""
+    bad = [
+        (2.0, TypeError, r"^column count 2\.0 is not an int$"),
+        (2.5, TypeError, r"^column count 2\.5 is not an int$"),
+        (True, TypeError, r"^column count True is not an int$"),
+        ("3", TypeError, r"^column count '3' is not an int$"),
+        (-1, ValueError, r"^column count -1 is negative$"),
+    ]
+    for count, error, message in bad:
+        for rows in ([{0: Fraction(1)}], [], [{0: 0.5}]):
+            with pytest.raises(error, match=message):
+                SparseMatrix(count, rows)
+            with pytest.raises(error, match=message):
+                span_basis(rows, count)
 
 
 def min_window(command, *args):

@@ -574,6 +574,66 @@ def test_dead_helpers_are_gone():
     assert not hasattr(Window, "contains_index")
 
 
+def doubled_indices(source: str):
+    """(qualified name, unparsed expression) for each product of 2 with an
+    index, an attribute ``.index`` or a name ``index``, and each ``divmod``
+    that reads one, as `calls` names the place."""
+    found = []
+
+    def reads_index(node):
+        return any(
+            isinstance(n, ast.Attribute) and n.attr == "index" or isinstance(n, ast.Name) and n.id == "index"
+            for n in ast.walk(node)
+        )
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + [child.name])
+                continue
+            doubled = isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult) and any(
+                isinstance(a, ast.Constant) and a.value == 2 and reads_index(b)
+                for a, b in ((child.left, child.right), (child.right, child.left))
+            )
+            split = isinstance(child, ast.Call) and getattr(child.func, "id", None) == "divmod" and reads_index(child)
+            if doubled or split:
+                found.append((".".join(where) or "<module>", ast.unparse(child)))
+            visit(child, where)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_sees_doubled_indices():
+    source = (
+        "def f(g):\n    return int(2 * g.index), g.index * 2, 2 * g.twice\n"
+        "class T:\n    def p(self, g):\n        return divmod(2 * g.index.numerator, g.index.denominator)\n"
+        "def h(index, col, n):\n    return 2 * (index + 1), divmod(col, n)\n"
+    )
+    assert [where for where, _ in doubled_indices(source)] == ["f", "f", "T.p", "T.p", "h"]
+
+
+def test_one_doubled_index_per_generator():
+    """``GeneratorId.__post_init__`` computes a generator's doubled index
+    ``twice`` once; no other function of the package multiplies an index
+    by 2 or splits one with ``divmod``, and ``_doubled`` is gone."""
+    found = [
+        (f"{module}.{where}", expr)
+        for module in MODULES + ["__init__"]
+        for where, expr in doubled_indices((PACKAGE / f"{module}.py").read_text())
+    ]
+    assert found == [("algebra.GeneratorId.__post_init__", "2 * index")]
+    defined = [
+        module
+        for module in MODULES + ["__init__"]
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.Assign)) and "_doubled" in {
+            getattr(node, "name", None), *(getattr(t, "id", None) for t in getattr(node, "targets", ()))
+        }
+    ]
+    assert defined == []
+
+
 def test_sweep_builds_each_case_in_one_place():
     assert callers((PACKAGE / "postlie.py").read_text(), "SweepCase") == ["verify_triviality_theorem"]
 
